@@ -24,14 +24,15 @@ comparable trajectory.  The workload itself
 ``repro-hybrid perf`` CLI — one definition, one scenario hash.
 
 ``REPRO_BENCH_PROFILE=0`` skips the cProfile artifact of the 10k run;
-``REPRO_BENCH_MEMORY_JOBS`` scales the materialized memory-ceiling
-scenario (default 100k jobs, ~1 min with the tracemalloc pass);
-``REPRO_BENCH_STREAM_JOBS`` scales the streamed one (default 1M jobs,
-~8 min — the generator-backed path's headline scale).
+``REPRO_BENCH_STREAM_JOBS`` scales the million-job memory-ceiling
+scenario (default 1M jobs, ~8 min — the streamed path's headline
+scale).
 """
 
 import cProfile
+import json
 import os
+import pathlib
 import pstats
 import time
 
@@ -57,19 +58,18 @@ from repro.workload.trace import clone_jobs
 
 from conftest import emit, out_dir, perf_store  # noqa: F401 - fixtures
 
+#: the materialized runs recorded before the simulator became
+#: stream-only (shared with tests/test_streaming.py)
+REFERENCE = (
+    pathlib.Path(__file__).parent.parent
+    / "tests" / "golden" / "stream_reference.json"
+)
+
 SIZES = (1_000, 5_000, 10_000)
 ASSERT_AT = 10_000
 SPEEDUP_FLOOR = 3.0
 #: EASY scenarios timed at every size (the assertion set)
 MECHANISMS = (None, "CUA&SPAA")
-
-#: memory-ceiling scenario scale (the ROADMAP streaming item's floor)
-MEMORY_JOBS = int(os.environ.get("REPRO_BENCH_MEMORY_JOBS", "100000"))
-#: asserted python-heap ceiling: ~1.3 KiB/job — measured peak is
-#: ~0.6 KiB/job (59 MiB at 100k), so this is ~2x headroom, tight
-#: enough to catch a per-job copy sneaking into the hot loop
-MEMORY_CEILING_BYTES_PER_JOB = 1280
-MEMORY_CEILING_FLOOR_BYTES = 16 * 1024 * 1024
 
 #: streamed (generator-backed) scenario scale — the million-job target
 STREAM_JOBS = int(os.environ.get("REPRO_BENCH_STREAM_JOBS", "1000000"))
@@ -366,91 +366,45 @@ def test_obs_overhead(emit):  # noqa: F811
     )
 
 
-def test_memory_ceiling_100k(emit, perf_store):  # noqa: F811
-    """The near-saturated stream at 100k jobs stays under the asserted
-    python-heap ceiling (first concrete step on the ROADMAP streaming
-    item: million-job traces need O(active) memory, not O(trace)).
-
-    The harness times the run untraced, then repeats it once under a
-    :class:`~repro.obs.memory.MemoryProbe` (tracemalloc) for the peak.
-    """
-    params = {"n_jobs": MEMORY_JOBS}
-    record = bench(
-        "sim_core",
-        params,
-        make_sim_core(params),
-        store=perf_store,
-        warmup=0,
-        repeat=1,
-        memory=True,
-    )
-    peak = record.metrics["tracemalloc_peak_bytes"]
-    ceiling = max(
-        MEMORY_CEILING_FLOOR_BYTES,
-        MEMORY_JOBS * MEMORY_CEILING_BYTES_PER_JOB,
-    )
-    emit(
-        "bench_sim_core_memory",
-        (
-            f"memory ceiling, {MEMORY_JOBS} jobs: tracemalloc peak "
-            f"{peak / 2**20:.1f} MiB (ceiling {ceiling / 2**20:.0f} MiB, "
-            f"{peak / MEMORY_JOBS:.0f} B/job), "
-            f"peak RSS {record.metrics['peak_rss_bytes'] / 2**20:.0f} MiB, "
-            f"wall {record.metrics['wall_time_s']:.1f}s, "
-            f"{record.metrics.get('events_per_s', 0.0):.0f} events/s"
-        ),
-    )
-    assert peak < ceiling, (
-        f"python-heap peak {peak / 2**20:.1f} MiB exceeds the "
-        f"{ceiling / 2**20:.0f} MiB ceiling at {MEMORY_JOBS} jobs — "
-        "something started scaling with the trace, not the active set"
-    )
-
-
 def test_streamed_differential_10k(emit):  # noqa: F811
-    """Streamed == materialized, byte for byte, at 10k jobs.
+    """Streamed == the recorded materialized reference at 10k jobs.
 
     The generator-backed path retires jobs at completion and keeps only
     the streaming accumulator; this asserts that the summaries (and the
     notice-class / waste breakdowns) it produces are *byte-identical*
-    to a materialized run of the same workload — same canonical JSON,
-    not merely close — for the baseline and the full CUA&SPAA stack.
+    to the materialized run recorded in
+    ``tests/golden/stream_reference.json`` — same canonical JSON, not
+    merely close — for the baseline and the full CUA&SPAA stack.
     """
+    with open(REFERENCE, encoding="utf-8") as fh:
+        reference = json.load(fh)
     config = _config(False)
     rows = []
     for mech_name in MECHANISMS:
         mech = Mechanism.parse(mech_name) if mech_name else None
-        mat = Simulation(
-            synth_jobs(ASSERT_AT), config, mech
-        ).run()
         st = Simulation(
             stream_synth_jobs(ASSERT_AT), config, mech
         ).run()
         assert st.jobs == [], "streamed run must not retain the trace"
-
-        def view(result):
-            return canonical_json(
-                {
-                    "summary": deterministic_view(summarize(result)),
-                    "by_notice": [
-                        vars(o) for o in ondemand_by_notice_class(result)
-                    ],
-                    "waste": waste_by_type(result),
-                }
-            ).encode()
-
-        mat_bytes, st_bytes = view(mat), view(st)
-        assert mat_bytes == st_bytes, (
-            f"streamed summary diverged from materialized at "
-            f"{ASSERT_AT} jobs, mech={mech_name or 'baseline'}"
+        st_bytes = canonical_json(
+            {
+                "summary": deterministic_view(summarize(st)),
+                "by_notice": [vars(o) for o in ondemand_by_notice_class(st)],
+                "waste": waste_by_type(st),
+            }
+        ).encode()
+        case = f"bench_sim_core/10k/{mech_name or 'baseline'}"
+        assert st_bytes == canonical_json(reference[case]).encode(), (
+            f"streamed summary diverged from the recorded materialized "
+            f"reference at {ASSERT_AT} jobs, mech={mech_name or 'baseline'}"
         )
         rows.append(
-            [mech_name or "baseline", len(mat_bytes), "identical"]
+            [mech_name or "baseline", len(st_bytes), "identical"]
         )
     emit(
         "bench_sim_core_streamed_differential",
         format_table(
-            ["mechanism", "summary bytes", "streamed vs materialized"],
+            ["mechanism", "summary bytes", "streamed vs reference"],
             rows,
             title=f"Streamed differential at {ASSERT_AT} jobs",
         ),
@@ -458,7 +412,7 @@ def test_streamed_differential_10k(emit):  # noqa: F811
 
 
 def _streamed_memory_run(n_jobs, emit, perf_store, label):
-    params = {"n_jobs": n_jobs, "stream": 1}
+    params = {"n_jobs": n_jobs}
     record = bench(
         "sim_core",
         params,
@@ -494,8 +448,8 @@ def _streamed_memory_run(n_jobs, emit, perf_store, label):
 
 
 def test_streamed_memory_ceiling_100k(emit, perf_store):  # noqa: F811
-    """Streamed 100k: absolute ceiling, not per-job — unlike the
-    materialized scenario above, the bound must not grow with n_jobs."""
+    """Streamed 100k: an absolute ceiling, not per-job — the bound
+    must not grow with n_jobs."""
     _streamed_memory_run(
         100_000, emit, perf_store, "bench_sim_core_streamed_100k"
     )

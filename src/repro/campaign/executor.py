@@ -73,22 +73,6 @@ def _retype_kwargs(spec: WorkloadSpec) -> Dict[str, object]:
     )
 
 
-def _cell_jobs(cell: CampaignCell, spec: WorkloadSpec) -> Optional[List]:
-    """Job list for an SWF-backed cell; ``None`` for synthetic cells.
-
-    The materialized twin of :func:`_cell_stream` (kept for the
-    ``stream=False`` A/B path): parses the log via the shared trace
-    cache, then builds the full retyped list at once.
-    """
-    if cell.trace_file is None:
-        return None
-    from repro.workload.swf import retype_jobs
-
-    rigid = get_trace_cache().swf_jobs(cell.trace_file, cell.trace_options)
-    rng = np.random.default_rng(cell.seed)
-    return retype_jobs(rigid, rng=rng, **_retype_kwargs(spec))
-
-
 def _cell_stream(
     cell: CampaignCell, spec: WorkloadSpec
 ) -> Optional[JobStream]:
@@ -112,9 +96,7 @@ def _cell_stream(
     return retype_stream(rigid, rng=rng, **_retype_kwargs(spec))
 
 
-def _trace_payload(
-    cell: CampaignCell, stream: bool = True
-) -> Dict[str, object]:
+def _trace_payload(cell: CampaignCell) -> Dict[str, object]:
     """Trace-characterization cells: workload statistics, no simulation.
 
     One streaming pass over the cell's jobs: per-type counts and
@@ -126,16 +108,11 @@ def _trace_payload(
     """
     spec = cell.workload_spec()
     if cell.trace_file is None:
-        if stream:
-            rows = get_trace_cache().theta_rows(spec, cell.seed)
-            jobs: Iterable = stream_jobs_from_rows(spec, rows)
-        else:
-            from repro.workload.theta import generate_trace
-
-            jobs = generate_trace(spec, seed=cell.seed)
+        rows = get_trace_cache().theta_rows(spec, cell.seed)
+        jobs: Iterable = stream_jobs_from_rows(spec, rows)
         horizon: Optional[float] = spec.horizon_s
     else:
-        jobs = _cell_stream(cell, spec) if stream else _cell_jobs(cell, spec)
+        jobs = _cell_stream(cell, spec)
         horizon = None  # real logs span whatever they span
     n_jobs = 0
     counts = {t: 0 for t in JobType}
@@ -167,7 +144,6 @@ def _trace_payload(
 def execute_cell(
     config: Mapping[str, object],
     log_dir: Optional[str] = None,
-    stream: bool = True,
 ) -> CellRecord:
     """Run one cell from its canonical config; never raises.
 
@@ -178,13 +154,10 @@ def execute_cell(
     an out-of-band side channel, so cell keys and summaries are
     untouched.
 
-    By default the cell streams: its trace is served off the shared
+    The cell streams: its trace is served off the shared
     :class:`~repro.workload.trace_cache.TraceCache` and jobs are built
     lazily, so no job list is ever materialized and the simulation's
     hot-path buffers are reused across the cells this process executes.
-    ``stream=False`` reproduces the pre-cache materialized path —
-    records are byte-identical either way (asserted in tests); the flag
-    exists for A/B benchmarking.
     """
     cell = CampaignCell.from_config(config)
     key = cell.key()
@@ -194,7 +167,7 @@ def execute_cell(
         with obs.span("campaign.cell", key=key, kind=cell.kind), \
                 obs.memory.section("campaign.cell"):
             if cell.kind == "trace":
-                payload, summary = _trace_payload(cell, stream=stream), None
+                payload, summary = _trace_payload(cell), None
             else:
                 log_path = None
                 if log_dir is not None:
@@ -206,14 +179,9 @@ def execute_cell(
                     cell.seed,
                     cell.mechanism_obj(),
                     cell.sim_config(),
-                    jobs=(
-                        _cell_stream(cell, wspec)
-                        if stream
-                        else _cell_jobs(cell, wspec)
-                    ),
+                    jobs=_cell_stream(cell, wspec),
                     log_path=log_path,
-                    stream=stream,
-                    scratch=process_scratch() if stream else None,
+                    scratch=process_scratch(),
                 )
                 payload, summary = None, metrics.to_dict()
     except Exception:
@@ -236,30 +204,9 @@ def execute_cell(
     )
 
 
-def execute_cell_traced(
-    config: Mapping[str, object],
-    log_dir: Optional[str] = None,
-    stream: bool = True,
-) -> Tuple[CellRecord, List[Dict[str, object]], Dict[str, object]]:
-    """:func:`execute_cell` under a private instrumentation bundle.
-
-    The pool path runs cells in subprocesses, whose ring buffers the
-    parent cannot see; this wrapper captures the child's spans and
-    metric snapshot alongside the record so the parent can
-    ``obs.ingest()`` them into one merged trace.  Events are tagged
-    with the child's real pid, so Perfetto shows each pool worker as
-    its own process track.
-    """
-    records, events, metrics = execute_cells_traced(
-        [config], log_dir=log_dir, stream=stream
-    )
-    return records[0], events, metrics
-
-
 def execute_cells(
     configs: Sequence[Mapping[str, object]],
     log_dir: Optional[str] = None,
-    stream: bool = True,
 ) -> List[CellRecord]:
     """Run a batch of cells in this process, one record per cell.
 
@@ -272,15 +219,12 @@ def execute_cells(
     parsing and buffer allocation.
     """
     with get_obs().span("campaign.batch", n_cells=len(configs)):
-        return [
-            execute_cell(c, log_dir=log_dir, stream=stream) for c in configs
-        ]
+        return [execute_cell(c, log_dir=log_dir) for c in configs]
 
 
 def execute_cells_traced(
     configs: Sequence[Mapping[str, object]],
     log_dir: Optional[str] = None,
-    stream: bool = True,
 ) -> Tuple[List[CellRecord], List[Dict[str, object]], Dict[str, object]]:
     """:func:`execute_cells` under a private instrumentation bundle.
 
@@ -294,10 +238,7 @@ def execute_cells_traced(
 
     with enabled_obs() as child_obs:
         with child_obs.span("campaign.batch", n_cells=len(configs)):
-            records = [
-                execute_cell(c, log_dir=log_dir, stream=stream)
-                for c in configs
-            ]
+            records = [execute_cell(c, log_dir=log_dir) for c in configs]
         events = events_from_spans(
             child_obs.tracer.records(),
             process_name=f"pool-worker-{os.getpid()}",
@@ -459,7 +400,6 @@ def _dispatch_batched(
     batch_size: int,
     max_inflight: int,
     log_dir: Optional[str],
-    stream: bool,
     handle: Callable[[Any], None],
 ) -> None:
     """Submit cell batches through a bounded in-flight window.
@@ -482,9 +422,7 @@ def _dispatch_batched(
             if batch is None:
                 exhausted = True
                 break
-            future = pool.submit(
-                fn, [c.config() for c in batch], log_dir, stream
-            )
+            future = pool.submit(fn, [c.config() for c in batch], log_dir)
             inflight[future] = len(batch)
         if not inflight:
             break
@@ -506,7 +444,6 @@ def run_campaign(
     log_dir: Optional[str] = None,
     batch_size: Optional[int] = None,
     max_inflight: Optional[int] = None,
-    stream: bool = True,
 ) -> CampaignRunResult:
     """Execute every not-yet-computed cell of *spec*.
 
@@ -543,11 +480,6 @@ def run_campaign(
         ``4 * workers``.  Keeps the dispatch window (and its pickled
         configs) bounded instead of materializing the whole plan as
         futures up front.
-    stream:
-        Stream every cell's trace off the shared cache (default).
-        ``False`` restores the materialized pre-cache path — records
-        are byte-identical either way; the flag exists for A/B
-        benchmarking.
 
     For multi-machine execution of the same grid, see
     :func:`repro.campaign.distrib.run_fleet` — it shares this planner
@@ -584,9 +516,7 @@ def run_campaign(
             # in-process: cell spans land directly in this process's
             # ring buffer, nested under whatever span the caller holds
             for cell in todo:
-                record = execute_cell(
-                    cell.config(), log_dir=log_dir, stream=stream
-                )
+                record = execute_cell(cell.config(), log_dir=log_dir)
                 store.put(record)
                 say(_cell_line(record, by_key[record.key]))
         else:
@@ -609,7 +539,7 @@ def run_campaign(
 
                     _dispatch_batched(
                         pool, execute_cells_traced, todo, n_batch,
-                        window, log_dir, stream, handle,
+                        window, log_dir, handle,
                     )
                 else:
                     # batches persist the moment each finishes, in any
@@ -618,7 +548,7 @@ def run_campaign(
                     # batches behind a slow head-of-line batch
                     _dispatch_batched(
                         pool, execute_cells, todo, n_batch,
-                        window, log_dir, stream, persist,
+                        window, log_dir, persist,
                     )
 
     final = collect_records(spec, store)

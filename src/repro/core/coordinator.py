@@ -207,7 +207,7 @@ class HybridCoordinator:
         plan.cancelled = True
         victim = self.ops.lookup_job(victim_job_id)
         if victim is None or victim.state is not JobState.RUNNING:
-            # retired from a streamed run's window, or no longer running
+            # retired from the in-flight window, or no longer running
             return
         room = res.need - res.held - sum(res.loans.values())
         if room <= 0:
@@ -445,8 +445,8 @@ class HybridCoordinator:
         for lease in self.ledger.settle(job.job_id):
             lender = self.ops.lookup_job(lease.lender_job_id)
             if lender is None:
-                # lender already completed (and, in a streamed run, was
-                # retired): its returned nodes simply melt into the pool
+                # lender already completed and retired: its returned
+                # nodes simply melt into the pool
                 continue
             if lender.state is JobState.QUEUED and lender.stats.preemptions > 0:
                 usable = self.ops.usable_free()

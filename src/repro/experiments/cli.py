@@ -276,11 +276,6 @@ def make_campaign_parser() -> argparse.ArgumentParser:
         "(default: 4 x workers)",
     )
     run_p.add_argument(
-        "--no-stream", action="store_true",
-        help="materialize each cell's trace instead of streaming it "
-        "off the shared cache (A/B benchmarking; results identical)",
-    )
-    run_p.add_argument(
         "--retry-failed",
         action="store_true",
         help="re-run cells whose stored status is 'error'",
@@ -871,7 +866,6 @@ def campaign_main(argv: List[str]) -> int:
             log_dir=args.log_decisions,
             batch_size=args.batch_size,
             max_inflight=args.max_inflight,
-            stream=not args.no_stream,
         )
         print(
             f"campaign {spec.name!r}: {result.n_total} cells — "

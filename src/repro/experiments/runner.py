@@ -19,8 +19,7 @@ from repro.metrics.summary import SummaryMetrics, average_summaries, summarize
 from repro.sim.config import SimConfig
 from repro.sim.simulator import Simulation, SimScratch, process_scratch
 from repro.workload.spec import NoticeMix, WorkloadSpec
-from repro.workload.stream import JobStream, as_stream
-from repro.workload.theta import generate_trace, stream_jobs_from_rows
+from repro.workload.theta import stream_jobs_from_rows
 from repro.workload.trace_cache import get_trace_cache
 
 
@@ -51,26 +50,19 @@ def run_one(
     sim: Optional[SimConfig] = None,
     jobs: Optional[Iterable[Job]] = None,
     log_path: Optional[str] = None,
-    stream: bool = True,
     scratch: Optional[SimScratch] = None,
 ) -> SummaryMetrics:
-    """Generate (or accept) a trace and simulate it under one mechanism.
+    """Simulate a trace under one mechanism and summarise the run.
 
-    *jobs* bypasses the synthetic generator — the campaign engine's SWF
-    cells feed their retyped log in here.  Any submit-ordered iterable
-    is accepted: a :class:`~repro.workload.stream.JobStream` streams
-    with its declared notice horizon, a plain sequence takes the
-    materialized path, and any other iterator/generator is coerced via
-    :func:`~repro.workload.stream.as_stream` (default horizon).
-
-    When *jobs* is ``None`` and *stream* is true (the default), the
-    trace is served from the process-wide
+    By default the trace is served from the process-wide
     :class:`~repro.workload.trace_cache.TraceCache` — generation runs
-    once per ``(spec, seed)`` per worker process, each call streams
-    fresh jobs off the shared rows, and no job list is ever
-    materialized.  ``stream=False`` restores the pre-cache behaviour
-    (generate a full list, simulate it materialized) — summaries are
-    byte-identical either way; the flag exists for A/B benchmarking.
+    once per ``(spec, seed)`` per worker process, and each call streams
+    fresh jobs off the shared rows, so no job list is ever
+    materialized.  *jobs* bypasses the generator (the campaign engine's
+    SWF cells feed their retyped log in here) and takes anything
+    :class:`~repro.sim.simulator.Simulation` does: a
+    :class:`~repro.workload.stream.JobStream`, a job list, or any other
+    submit-ordered iterator.
 
     *scratch* lets a worker reuse one set of simulation hot-path
     buffers across calls (see
@@ -85,17 +77,12 @@ def run_one(
     if log_path is not None and not sim.log_decisions:
         sim = replace(sim, log_decisions=True)
     if jobs is None:
-        if stream:
-            rows = get_trace_cache().theta_rows(spec, seed)
-            jobs = stream_jobs_from_rows(spec, rows)
-        else:
-            jobs = generate_trace(spec, seed=seed)
-    elif not isinstance(jobs, (Sequence, JobStream)):
-        jobs = as_stream(jobs)
+        rows = get_trace_cache().theta_rows(spec, seed)
+        jobs = stream_jobs_from_rows(spec, rows)
     result = Simulation(jobs, sim, mechanism, scratch=scratch).run()
     if log_path is not None and result.log is not None:
         result.log.write_jsonl(log_path)
-    return summarize(result, instant_threshold_s=sim.instant_threshold_s)
+    return summarize(result)
 
 
 def _run_cell(

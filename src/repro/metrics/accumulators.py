@@ -1,21 +1,20 @@
 """Streaming metric accumulators: O(in-flight) summaries for O(trace) runs.
 
-The materialized metrics path (:func:`repro.metrics.summary.summarize`,
-:mod:`repro.metrics.breakdown`) groups per-job lists after the run —
-fine at 10k jobs, fatal at month-scale SWF volume where the job list
-*is* the memory wall.  This module is the streaming replacement: the
-simulator feeds every job through a :class:`SummaryAccumulator` exactly
-once, at the moment it leaves the in-flight set (completion, or
-admission for announced no-shows), and the accumulator keeps only
-count/sum/min/max cells and fixed-bucket histograms per
-job-type/notice-class group — O(1) state per group, O(1) work per job.
+Grouping per-job lists after the run is fine at 10k jobs and fatal at
+month-scale SWF volume, where the job list *is* the memory wall.
+Instead the simulator feeds every job through a
+:class:`SummaryAccumulator` exactly once, at the moment it leaves the
+in-flight set (completion, or admission for announced no-shows), and
+the accumulator keeps only count/sum/min/max cells and fixed-bucket
+histograms per job-type/notice-class group — O(1) state per group, O(1)
+work per job.  :func:`repro.metrics.summary.summarize` and
+:mod:`repro.metrics.breakdown` read nothing else.
 
-Both input paths share the funnel: a materialized run feeds the same
-accumulator in the same completion order as a streamed run of the same
-trace, which is what makes streamed and materialized summaries
-byte-identical (asserted by the differential tests).  Group sums are
-accumulated in job-completion order; totals across groups add the group
-subtotals in :class:`~repro.jobs.job.JobType` declaration order.
+Group sums are accumulated in job-completion order, which depends only
+on the trace, never on how its jobs were supplied (a list or a
+generator), so summaries of one trace are byte-identical either way.
+Totals across groups add the group subtotals in
+:class:`~repro.jobs.job.JobType` declaration order.
 """
 
 from __future__ import annotations

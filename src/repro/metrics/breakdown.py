@@ -10,11 +10,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from typing import TYPE_CHECKING
-
-from repro.jobs.job import Job, JobType, NoticeClass
+from repro.jobs.job import JobType, NoticeClass
 from repro.util.timeconst import HOUR
 
 if TYPE_CHECKING:  # runtime import would be circular: the simulator
@@ -37,66 +35,23 @@ class NoticeClassOutcome:
 
 
 def ondemand_by_notice_class(
-    result: SimulationResult, instant_threshold_s: float = 60.0
+    result: SimulationResult,
 ) -> List[NoticeClassOutcome]:
-    """Split the on-demand metrics by notice class (arrived jobs only).
-
-    Accumulator-backed results (every simulator run) are read from the
-    streaming funnel's per-notice-class cells; the per-job grouping
-    below serves hand-built results and mismatched thresholds (not
-    possible for streamed runs, which carry no job list).
-    """
-    acc = result.accumulator
-    if acc is not None and abs(
-        acc.instant_threshold_s - instant_threshold_s
-    ) <= 1e-12:
-        out = []
-        for cls in NoticeClass:
-            g = acc.by_notice[cls]
-            out.append(
-                NoticeClassOutcome(
-                    notice_class=cls.value,
-                    count=g.count,
-                    instant_rate=(g.instant / g.count) if g.count else 0.0,
-                    avg_delay_s=(
-                        g.delay.total / g.delay.count if g.delay.count else 0.0
-                    ),
-                    avg_turnaround_h=(
-                        g.turnaround.total / g.count / HOUR if g.count else 0.0
-                    ),
-                )
-            )
-        return out
-    if acc is not None and not result.jobs and acc.n_jobs:
-        raise ValueError(
-            "streamed result has no per-job list; call "
-            "ondemand_by_notice_class with "
-            f"instant_threshold_s={acc.instant_threshold_s}"
-        )
-    groups: Dict[NoticeClass, List[Job]] = {c: [] for c in NoticeClass}
-    for j in result.jobs:
-        if j.is_ondemand and not j.no_show:
-            groups[j.notice_class].append(j)
-    out: List[NoticeClassOutcome] = []
-    for cls, jobs in groups.items():
-        started = [j for j in jobs if j.stats.first_start is not None]
-        instant = [
-            j for j in started if j.start_delay <= instant_threshold_s + 1e-9
-        ]
+    """Split the on-demand metrics by notice class (arrived jobs only),
+    read from the run accumulator's per-notice-class cells."""
+    out = []
+    for cls in NoticeClass:
+        g = result.accumulator.by_notice[cls]
         out.append(
             NoticeClassOutcome(
                 notice_class=cls.value,
-                count=len(jobs),
-                instant_rate=(len(instant) / len(jobs)) if jobs else 0.0,
+                count=g.count,
+                instant_rate=(g.instant / g.count) if g.count else 0.0,
                 avg_delay_s=(
-                    sum(j.start_delay for j in started) / len(started)
-                    if started
-                    else 0.0
+                    g.delay.total / g.delay.count if g.delay.count else 0.0
                 ),
                 avg_turnaround_h=(
-                    sum(j.turnaround for j in jobs) / len(jobs) / HOUR
-                    if jobs
-                    else 0.0
+                    g.turnaround.total / g.count / HOUR if g.count else 0.0
                 ),
             )
         )
@@ -106,37 +61,15 @@ def ondemand_by_notice_class(
 def waste_by_type(result: SimulationResult) -> Dict[str, Dict[str, float]]:
     """Node-hour waste decomposition per job type."""
     acc = result.accumulator
-    if acc is not None:
-        return {
-            t.value: {
-                "lost_compute_node_h": g.lost_ns / HOUR,
-                "wasted_setup_node_h": g.wasted_setup_ns / HOUR,
-                "checkpoint_node_h": g.checkpoint_ns / HOUR,
-                "preemptions": float(g.preemptions),
-            }
-            for t, g in ((t, acc.by_type[t]) for t in JobType)
+    return {
+        t.value: {
+            "lost_compute_node_h": g.lost_ns / HOUR,
+            "wasted_setup_node_h": g.wasted_setup_ns / HOUR,
+            "checkpoint_node_h": g.checkpoint_ns / HOUR,
+            "preemptions": float(g.preemptions),
         }
-    out: Dict[str, Dict[str, float]] = {}
-    for jtype in JobType:
-        jobs = [
-            j for j in result.jobs if j.job_type is jtype and not j.no_show
-        ]
-        out[jtype.value] = {
-            "lost_compute_node_h": sum(
-                j.stats.lost_node_seconds for j in jobs
-            )
-            / HOUR,
-            "wasted_setup_node_h": sum(
-                j.stats.wasted_setup_node_seconds for j in jobs
-            )
-            / HOUR,
-            "checkpoint_node_h": sum(
-                j.stats.checkpoint_node_seconds for j in jobs
-            )
-            / HOUR,
-            "preemptions": float(sum(j.stats.preemptions for j in jobs)),
-        }
-    return out
+        for t, g in ((t, acc.by_type[t]) for t in JobType)
+    }
 
 
 def utilization_series(
@@ -147,14 +80,13 @@ def utilization_series(
     Rebuilt from the exact per-segment records the simulator keeps
     (preemption gaps contribute nothing); node counts within a segment
     are the segment's mean, so a resize mid-segment is averaged.
-    Requires a materialized run: streamed results retire jobs (and
-    their segment records) at completion.
+    Requires a run given a job list: the list is echoed back as
+    ``result.jobs``, while a streamed run keeps no per-job records.
     """
-    acc = result.accumulator
-    if not result.jobs and acc is not None and acc.n_jobs:
+    if not result.jobs and result.accumulator.n_jobs:
         raise ValueError(
             "utilization_series needs per-job segment records; run the "
-            "simulation with a materialized job list"
+            "simulation on a job list"
         )
     horizon = result.last_end
     if horizon <= 0:

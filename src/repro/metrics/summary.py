@@ -4,13 +4,10 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
-from typing import TYPE_CHECKING
-
-from repro.jobs.job import Job, JobType
-from repro.metrics.accumulators import SummaryAccumulator
+from repro.jobs.job import JobType
 from repro.util.timeconst import HOUR
 
 if TYPE_CHECKING:  # runtime import would be circular: the simulator
@@ -181,113 +178,20 @@ def _mean(values: Sequence[float]) -> float:
     return sum(vals) / len(vals) if vals else math.nan
 
 
-def summarize(
-    result: SimulationResult, instant_threshold_s: float = 60.0
-) -> SummaryMetrics:
+def summarize(result: SimulationResult) -> SummaryMetrics:
     """Reduce a run to the paper's metrics.
 
-    ``instant_threshold_s`` should match the simulation config; instant
-    starts in this model happen at the arrival instant (delay 0), so any
-    small threshold gives identical rates — it exists to stay robust if a
-    future mechanism staged starts by a bounded warning window.
-
-    Results carrying a :class:`~repro.metrics.accumulators.SummaryAccumulator`
-    (every simulator run since the streaming core landed) are summarised
-    from its O(1) group cells — the only option for streamed runs, whose
-    ``jobs`` list is empty.  The legacy per-job grouping below remains
-    for hand-built results (unit tests, stored-result tooling) and for a
-    threshold that differs from the one the accumulator was fed with.
+    Everything is read from the run's
+    :class:`~repro.metrics.accumulators.SummaryAccumulator`, whose O(1)
+    group cells were fed once per job as it left the simulation.  Sums
+    are accumulated in job-completion order, so two runs of one trace
+    summarise byte-identically however their jobs were supplied.  The
+    instant-start threshold is the one the accumulator was built with
+    (``SimConfig.instant_threshold_s``); instant starts in this model
+    happen at the arrival instant (delay 0), so any small threshold
+    gives identical rates.
     """
     acc = result.accumulator
-    if acc is not None and math.isclose(
-        acc.instant_threshold_s, instant_threshold_s, abs_tol=1e-12
-    ):
-        return _summarize_accumulated(result, acc)
-    if acc is not None and not result.jobs and (acc.n_jobs or acc.n_noshow):
-        raise ValueError(
-            "streamed result has no per-job list; call summarize with "
-            f"instant_threshold_s={acc.instant_threshold_s} (the value "
-            "the simulation's accumulator was configured with)"
-        )
-    noshows = [j for j in result.jobs if j.no_show]
-    jobs = [j for j in result.jobs if not j.no_show]
-    by_type: Dict[JobType, List[Job]] = {t: [] for t in JobType}
-    for j in jobs:
-        by_type[j.job_type].append(j)
-    rigid = by_type[JobType.RIGID]
-    malleable = by_type[JobType.MALLEABLE]
-    ondemand = by_type[JobType.ONDEMAND]
-
-    capacity = result.system_size * result.horizon
-    allocated = sum(j.stats.allocated_node_seconds for j in jobs)
-    lost = sum(j.stats.lost_node_seconds for j in jobs)
-    wasted_setup = sum(j.stats.wasted_setup_node_seconds for j in jobs)
-    ckpt = sum(j.stats.checkpoint_node_seconds for j in jobs)
-
-    ods_started = [j for j in ondemand if j.stats.first_start is not None]
-    instant = [
-        j for j in ods_started if j.start_delay <= instant_threshold_s + 1e-9
-    ]
-
-    def ratio_preempted(group: List[Job]) -> float:
-        if not group:
-            return 0.0
-        return sum(1 for j in group if j.stats.preemptions > 0) / len(group)
-
-    return SummaryMetrics(
-        mechanism=result.mechanism,
-        n_jobs=len(jobs),
-        n_rigid=len(rigid),
-        n_malleable=len(malleable),
-        n_ondemand=len(ondemand),
-        n_noshow=len(noshows),
-        avg_turnaround_h=_mean([j.turnaround for j in jobs]) / HOUR,
-        avg_turnaround_rigid_h=_mean([j.turnaround for j in rigid]) / HOUR,
-        avg_turnaround_malleable_h=_mean([j.turnaround for j in malleable])
-        / HOUR,
-        avg_turnaround_ondemand_h=_mean([j.turnaround for j in ondemand])
-        / HOUR,
-        instant_start_rate=(len(instant) / len(ondemand)) if ondemand else 0.0,
-        avg_ondemand_delay_s=_mean([j.start_delay for j in ondemand]),
-        preemption_ratio_rigid=ratio_preempted(rigid),
-        preemption_ratio_malleable=ratio_preempted(malleable),
-        shrink_ratio_malleable=(
-            sum(1 for j in malleable if j.stats.shrinks > 0) / len(malleable)
-            if malleable
-            else 0.0
-        ),
-        system_utilization=max(0.0, (allocated - lost - wasted_setup))
-        / capacity,
-        allocated_frac=allocated / capacity,
-        lost_compute_frac=lost / capacity,
-        wasted_setup_frac=wasted_setup / capacity,
-        checkpoint_frac=ckpt / capacity,
-        reserved_idle_frac=result.reserved_idle_node_seconds / capacity,
-        decision_latency_p50_s=result.decision_latency.p50_s,
-        decision_latency_p95_s=result.decision_latency.p95_s,
-        decision_latency_p99_s=result.decision_latency.p99_s,
-        decision_latency_mean_s=result.decision_latency.mean_s,
-        decision_latency_max_s=result.decision_latency.max_s,
-        makespan_h=result.makespan / HOUR,
-        lease_resumes=result.lease_resumes,
-        lease_expands=result.lease_expands,
-        wall_time_s=result.wall_time_s,
-        events_processed=result.events_processed,
-        schedule_passes=result.schedule_passes,
-        passes_skipped=result.passes_skipped,
-    )
-
-
-def _summarize_accumulated(
-    result: SimulationResult, acc: SummaryAccumulator
-) -> SummaryMetrics:
-    """:func:`summarize` from the streaming funnel instead of job lists.
-
-    Field-for-field the same quantities as the legacy grouping; sums are
-    accumulated in job-completion order (the funnel's feed order), which
-    is identical between streamed and materialized runs of one trace —
-    the byte-identity the differential tests assert.
-    """
     rigid = acc.by_type[JobType.RIGID]
     malleable = acc.by_type[JobType.MALLEABLE]
     ondemand = acc.by_type[JobType.ONDEMAND]

@@ -133,22 +133,18 @@ def make_sim_core(params: Mapping[str, Any]) -> Scenario:
     Params: ``n_jobs`` (default 1000), ``backfill`` (easy/conservative),
     ``policy`` (any registered dispatcher name, e.g. ``prb_ewt``;
     empty = legacy FCFS), ``mechanism`` (e.g. ``CUA&SPAA``; empty =
-    baseline), ``full_replan`` (0/1), ``stream`` (0/1:
-    generator-backed workload + O(in-flight) simulator memory),
-    ``seed``, ``load``.
+    baseline), ``full_replan`` (0/1), ``seed``, ``load``.
+
+    Jobs are synthesised lazily *inside* the timed thunk — holding a
+    materialised copy outside it would defeat the O(in-flight) memory
+    measurement the scenario exists for.
     """
     from repro.core.mechanisms import Mechanism
     from repro.sim.simulator import Simulation
-    from repro.workload.trace import clone_jobs
 
     n_jobs = int(params.get("n_jobs", 1000))
     seed = int(params.get("seed", 2022))
     load = float(params.get("load", 0.95))
-    stream = bool(int(params.get("stream", 0)))
-    # streamed runs synthesise jobs lazily *inside* the timed thunk —
-    # holding a materialised copy outside it would defeat the memory
-    # measurement the scenario exists for
-    jobs = None if stream else synth_jobs(n_jobs, seed=seed, load=load)
     config = bench_sim_config(
         force_full_replan=bool(int(params.get("full_replan", 0))),
         backfill_mode=str(params.get("backfill", "easy")),
@@ -158,11 +154,7 @@ def make_sim_core(params: Mapping[str, Any]) -> Scenario:
     mech = Mechanism.parse(mech_name) if mech_name else None
 
     def run() -> Dict[str, float]:
-        workload = (
-            stream_synth_jobs(n_jobs, seed=seed, load=load)
-            if stream
-            else clone_jobs(jobs)
-        )
+        workload = stream_synth_jobs(n_jobs, seed=seed, load=load)
         result = Simulation(workload, config, mech).run()
         return {
             "events_processed": float(result.events_processed),
@@ -282,14 +274,12 @@ def make_campaign_throughput(params: Mapping[str, Any]) -> Scenario:
     dispatch layer, repeated trace generation, and per-cell allocation
     dominate, per the task-runtime characterization literature.  Params:
     ``n_cells`` (default 63), ``days`` (default 0.25), ``system_size``
-    (default 256), ``load`` (default 0.6), ``stream`` (0/1, default 1:
-    streamed cells off the shared trace cache vs the materialized
-    pre-cache path), ``workers`` (default 1: serial, so the measured
-    win is cache + streaming + scratch, not parallelism).
+    (default 256), ``load`` (default 0.6), ``workers`` (default 1:
+    serial, so the measurement is cache + streaming + scratch, not
+    parallelism).
 
     The trace cache is cleared at the start of every rep, so each rep
-    pays its own parses — the measurement models a cold worker process,
-    and ``stream=1`` vs ``stream=0`` is a fair A/B.
+    pays its own parses — the measurement models a cold worker process.
     """
     from repro.campaign.executor import run_campaign
     from repro.campaign.spec import CampaignSpec
@@ -300,7 +290,6 @@ def make_campaign_throughput(params: Mapping[str, Any]) -> Scenario:
     days = float(params.get("days", 0.25))
     system_size = int(params.get("system_size", 256))
     load = float(params.get("load", 0.6))
-    stream = bool(int(params.get("stream", 1)))
     workers = int(params.get("workers", 1))
     per_trace = len(CAMPAIGN_MECHANISMS) * len(CAMPAIGN_CHECKPOINTS)
     n_seeds = max(1, -(-n_cells // per_trace))
@@ -319,9 +308,7 @@ def make_campaign_throughput(params: Mapping[str, Any]) -> Scenario:
     def run() -> Dict[str, float]:
         get_trace_cache().clear()
         store = ResultStore()
-        result = run_campaign(
-            spec, store=store, workers=workers, stream=stream
-        )
+        result = run_campaign(spec, store=store, workers=workers)
         if result.n_failed:
             raise RuntimeError(
                 f"campaign_throughput: {result.n_failed} cells failed"

@@ -154,6 +154,9 @@ class SimulationResult:
     last_end: float
     reserved_idle_node_seconds: float
     free_node_seconds: float
+    #: the job-finish metrics funnel: the source of every summary and
+    #: breakdown metric
+    accumulator: SummaryAccumulator
     decision_latency: LatencyStats = field(default_factory=LatencyStats)
     events_processed: int = 0
     schedule_passes: int = 0
@@ -164,10 +167,6 @@ class SimulationResult:
     failures_injected: int = 0
     #: populated when SimConfig.log_decisions is set
     log: Optional[SchedulerLog] = None
-    #: the streaming metrics funnel, fed at job completion in both input
-    #: modes; for streamed runs (``jobs == []``) it is the *only* source
-    #: of summary/breakdown metrics
-    accumulator: Optional[SummaryAccumulator] = None
 
     @property
     def horizon(self) -> float:
@@ -227,16 +226,20 @@ class Simulation:
     Parameters
     ----------
     jobs:
-        The workload.  A :class:`~repro.workload.stream.JobStream` (or
-        any bare iterator/generator of submit-ordered jobs) selects the
-        **streaming** path: jobs are admitted lazily just ahead of the
-        event clock and retired the moment they complete, so memory is
-        O(in-flight) instead of O(trace) and the result carries an
-        :class:`~repro.metrics.accumulators.SummaryAccumulator` in place
-        of the per-job list.  A materialized sequence preserves the
-        classic behaviour (``result.jobs`` fully populated).  Each job
-        is mutated in place (state + stats), so pass a fresh copy per
-        run (:func:`repro.workload.trace.clone_jobs`).
+        The workload, always consumed as a stream: jobs are admitted
+        just ahead of the event clock and retired the moment they
+        complete, and every metric flows through the result's
+        :class:`~repro.metrics.accumulators.SummaryAccumulator`.  A
+        :class:`~repro.workload.stream.JobStream` streams with its
+        declared notice horizon, and any other iterator of
+        submit-ordered jobs with the default one; memory is then
+        O(in-flight), not O(trace), and ``result.jobs`` is empty.  A
+        sequence is validated up front, stably sorted by submit time and
+        streamed with its exact notice horizon; it is echoed back as
+        ``result.jobs`` for per-job consumers
+        (:func:`~repro.metrics.breakdown.utilization_series`, tests).
+        Each job is mutated in place (state + stats), so pass a fresh
+        copy per run (:func:`repro.workload.trace.clone_jobs`).
     config:
         Machine/behaviour knobs; defaults follow §IV-B.
     mechanism:
@@ -279,36 +282,29 @@ class Simulation:
             self._forced_backfill_mode = dispatcher.backfill_mode
             resolved = dispatcher.ordering
         self.policy = resolved or FcfsPolicy()
-        if isinstance(jobs, JobStream):
-            stream: Optional[JobStream] = jobs
-        elif isinstance(jobs, Sequence):
-            stream = None
-        else:  # bare generator/iterator: wrap with the default horizon
+        if isinstance(jobs, Sequence):
+            self.jobs: List[Job] = list(jobs)
+            stream = self._list_stream(self.jobs)
+            #: the ``sim.run`` span's ``jobs`` attribute (-1: unknown)
+            self._n_jobs_hint = len(self.jobs)
+        else:  # a JobStream, or a bare iterator (default horizon)
+            self.jobs = []
             stream = as_stream(jobs)
-        self._streaming = stream is not None
-        #: the job-finish metrics funnel (fed identically in both modes,
-        #: which is what makes streamed and materialized summaries match
-        #: byte for byte)
+            self._n_jobs_hint = -1
+        #: the job-finish metrics funnel, the only source of summary and
+        #: breakdown metrics
         self.metrics = SummaryAccumulator(
             instant_threshold_s=self.config.instant_threshold_s
         )
-        if stream is not None:
-            self.jobs: List[Job] = []
-            self.jobs_by_id: Dict[int, Job] = {}
-            self._stream_it: Optional[Iterator[Job]] = iter(stream)
-            # +1 s pad: admission only ever moves *earlier*, and the pad
-            # absorbs producers whose declared horizon is exact-to-the-ULP
-            self._notice_horizon_s = stream.notice_horizon_s + 1.0
-            self._stream_next: Optional[Job] = next(self._stream_it, None)
-        else:
-            self.jobs = list(jobs)
-            self._validate_jobs()
-            self.jobs_by_id = {j.job_id: j for j in self.jobs}
-            self._stream_it = None
-            self._stream_next = None
-            self._notice_horizon_s = 0.0
-        #: streaming-mode bookkeeping that replaces end-of-run scans of
-        #: the (absent) job list
+        #: the in-flight window: admitted jobs not yet retired
+        self.jobs_by_id: Dict[int, Job] = {}
+        self._stream_it: Iterator[Job] = iter(stream)
+        # +1 s pad: admission only ever moves *earlier*, and the pad
+        # absorbs producers whose declared horizon is exact-to-the-ULP
+        self._notice_horizon_s = stream.notice_horizon_s + 1.0
+        self._stream_next: Optional[Job] = next(self._stream_it, None)
+        #: admission/finish bookkeeping that replaces end-of-run scans
+        #: of the (retired) jobs
         self._last_admit_submit = -math.inf
         self._admit_first_submit = math.inf
         self._admit_last_end = 0.0
@@ -389,8 +385,6 @@ class Simulation:
             self._batch = []
             self._resv_overlay = []
             self._view = ProfileView(0.0, 0, timeline=self.timeline)
-        if not self._streaming:
-            self._seed_events()
 
     # ------------------------------------------------------------------
     def _validate_job(self, job: Job) -> None:
@@ -405,13 +399,26 @@ class Simulation:
                 f"{job.state.value}; pass fresh jobs (clone_jobs)"
             )
 
-    def _validate_jobs(self) -> None:
+    def _list_stream(self, jobs: List[Job]) -> JobStream:
+        """Validate a job list up front and stream it in submit order.
+
+        Duplicate ids are caught here, before any job is admitted: the
+        in-flight window alone cannot see a duplicate of a job already
+        retired.  The stable sort keeps the list order among equal
+        submit times, and the horizon is the list's exact
+        ``max(submit - notice)``.
+        """
         seen = set()
-        for job in self.jobs:
+        horizon = 0.0
+        for job in jobs:
             if job.job_id in seen:
                 raise ConfigurationError(f"duplicate job id {job.job_id}")
             seen.add(job.job_id)
             self._validate_job(job)
+            if self._is_noticed(job):
+                horizon = max(horizon, job.submit_time - job.notice_time)
+        ordered = sorted(jobs, key=lambda j: j.submit_time)
+        return JobStream(ordered, notice_horizon_s=horizon)
 
     @staticmethod
     def _is_noticed(job: Job) -> bool:
@@ -421,21 +428,8 @@ class Simulation:
             and job.notice_time is not None
         )
 
-    def _seed_events(self) -> None:
-        for job in self.jobs:
-            if job.no_show:
-                self.metrics.observe_noshow(job)
-            else:
-                self.equeue.push(
-                    job.submit_time, EventType.JOB_SUBMIT, job_id=job.job_id
-                )
-            if self._is_noticed(job):
-                self.equeue.push(
-                    job.notice_time, EventType.ADVANCE_NOTICE, job_id=job.job_id
-                )
-
     # ------------------------------------------------------------------
-    # Streaming admission (generator-backed workloads)
+    # Streaming admission
     # ------------------------------------------------------------------
     def _pump_stream(self) -> None:
         """Admit stream jobs whose events could precede the next batch.
@@ -496,7 +490,7 @@ class Simulation:
             )
 
     def _retire(self, job_id: int) -> None:
-        """Drop a settled job from the in-flight window (streaming only).
+        """Drop a settled job from the in-flight window.
 
         Late references are all benign by construction:
         :meth:`lookup_job` reports a retired job as ``None`` and every
@@ -525,11 +519,10 @@ class Simulation:
     def lookup_job(self, job_id: int) -> Optional[Job]:
         """The in-flight job with this id, or ``None`` once retired.
 
-        Streamed runs drop completed jobs from the window, so a late
-        reference (a planned preemption whose victim already finished, a
-        lease whose lender completed before its on-demand borrower) sees
-        ``None`` — which callers treat as "job already done", matching
-        the state guards they apply to materialized runs.
+        Completed jobs leave the window, so a late reference (a planned
+        preemption whose victim already finished, a lease whose lender
+        completed before its on-demand borrower) sees ``None`` — which
+        callers treat as "job already done".
         """
         return self.jobs_by_id.get(job_id)
 
@@ -785,11 +778,7 @@ class Simulation:
             detail=f"eta={job.estimated_arrival:.0f}",
         )
         self.coordinator.on_advance_notice(job)
-        if (
-            self._streaming
-            and job.no_show
-            and self.coordinator.book.get(job_id) is None
-        ):
+        if job.no_show and self.coordinator.book.get(job_id) is None:
             # no reservation was opened (baseline / NOTHING strategy),
             # so no timeout will ever fire for this no-show: this notice
             # was its last event
@@ -823,11 +812,10 @@ class Simulation:
             self.coordinator.on_od_completion(job)
         else:
             self.coordinator.on_job_release(job_id, released)
-        if self._streaming:
-            self._n_completed += 1
-            if self.now > self._admit_last_end:
-                self._admit_last_end = self.now
-            self._retire(job_id)
+        self._n_completed += 1
+        if self.now > self._admit_last_end:
+            self._admit_last_end = self.now
+        self._retire(job_id)
 
     def _handle_failure(self, job_id: int, epoch: int) -> None:
         """A node under this job failed: roll back and restart in place.
@@ -868,17 +856,16 @@ class Simulation:
 
     def _handle_timeout(self, od_id: int) -> None:
         self.coordinator.on_reservation_timeout(od_id)
-        if self._streaming:
-            job = self.jobs_by_id.get(od_id)
-            if job is not None and job.no_show:
-                # the expired reservation was this announced no-show's
-                # last trace of activity
-                if job.state not in (JobState.PENDING, JobState.NOTICED):
-                    raise SimulationError(
-                        f"no-show job {od_id} somehow reached state "
-                        f"{job.state.value}"
-                    )
-                self._retire(od_id)
+        job = self.jobs_by_id.get(od_id)
+        if job is not None and job.no_show:
+            # the expired reservation was this announced no-show's last
+            # trace of activity
+            if job.state not in (JobState.PENDING, JobState.NOTICED):
+                raise SimulationError(
+                    f"no-show job {od_id} somehow reached state "
+                    f"{job.state.value}"
+                )
+            self._retire(od_id)
 
     # ------------------------------------------------------------------
     # Scheduling pass
@@ -1102,12 +1089,10 @@ class Simulation:
                 p["od_id"]
             ),
         }
-        n_jobs_hint = -1 if self._streaming else len(self.jobs)
-        with self._obs.span("sim.run", jobs=n_jobs_hint), \
+        with self._obs.span("sim.run", jobs=self._n_jobs_hint), \
                 self._obs.memory.section("sim.run"):
             while True:
-                if self._streaming:
-                    self._pump_stream()
+                self._pump_stream()
                 if not len(self.equeue):
                     break
                 batch = self.equeue.pop_batch(self._batch)
@@ -1138,48 +1123,23 @@ class Simulation:
                 f"held={self.coordinator.book.total_held})"
             )
 
-        if self._streaming:
-            # The per-job list is gone; the admission/finish counters
-            # and the retained window answer the same questions the
-            # materialized scans below do.
-            for job in self.jobs_by_id.values():
-                if not job.no_show:
-                    raise SimulationError("some jobs never completed")
-                if job.state not in (JobState.PENDING, JobState.NOTICED):
-                    raise SimulationError(
-                        f"no-show job {job.job_id} somehow reached state "
-                        f"{job.state.value}"
-                    )
-            if self._n_completed != self._n_arrivals_admitted:
+        # every admitted arrival completed; only no-shows stay admitted
+        for job in self.jobs_by_id.values():
+            if not job.no_show:
                 raise SimulationError("some jobs never completed")
-            first_submit = (
-                self._admit_first_submit
-                if math.isfinite(self._admit_first_submit)
-                else 0.0
-            )
-            last_end = self._admit_last_end
-        else:
-            arrived = [j for j in self.jobs if not j.no_show]
-            ends = [
-                j.stats.end_time
-                for j in arrived
-                if j.stats.end_time is not None
-            ]
-            if len(ends) != len(arrived):
-                raise SimulationError("some jobs never completed")
-            for job in self.jobs:
-                if job.no_show and job.state not in (
-                    JobState.PENDING,
-                    JobState.NOTICED,
-                ):
-                    raise SimulationError(
-                        f"no-show job {job.job_id} somehow reached state "
-                        f"{job.state.value}"
-                    )
-            first_submit = (
-                min(j.submit_time for j in self.jobs) if self.jobs else 0.0
-            )
-            last_end = max(ends) if ends else 0.0
+            if job.state not in (JobState.PENDING, JobState.NOTICED):
+                raise SimulationError(
+                    f"no-show job {job.job_id} somehow reached state "
+                    f"{job.state.value}"
+                )
+        if self._n_completed != self._n_arrivals_admitted:
+            raise SimulationError("some jobs never completed")
+        first_submit = (
+            self._admit_first_submit
+            if math.isfinite(self._admit_first_submit)
+            else 0.0
+        )
+        last_end = self._admit_last_end
         return SimulationResult(
             jobs=self.jobs,
             mechanism=self.mechanism.name if self.mechanism else None,
@@ -1190,6 +1150,7 @@ class Simulation:
             last_end=last_end,
             reserved_idle_node_seconds=self.coordinator.book.held_node_seconds,
             free_node_seconds=self.cluster.free_node_seconds,
+            accumulator=self.metrics,
             decision_latency=LatencyStats.from_samples(
                 self.coordinator.decision_latencies
             ),
@@ -1201,5 +1162,4 @@ class Simulation:
             lease_expands=self.coordinator.lease_expands,
             failures_injected=self._failures_injected,
             log=self.log if self.config.log_decisions else None,
-            accumulator=self.metrics,
         )

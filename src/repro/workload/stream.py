@@ -17,13 +17,15 @@ Producers that know their own bound attach it:
   notice precedes its actual arrival by at most lead + late window);
 * :func:`repro.workload.swf.stream_swf` uses ``0`` (SWF jobs carry no
   notices);
+* a job list handed to ``Simulation`` is sorted and streamed with its
+  exact ``max(submit - notice)``;
 * a bare generator handed straight to ``Simulation`` is wrapped with
   :data:`DEFAULT_NOTICE_HORIZON_S`, generous enough for every notice
   mix this repo generates.
 
 The bound only affects *memory* (how far ahead the simulator admits),
-never decisions: admission just schedules the same submit/notice events
-``Simulation.__init__`` would have pushed up front.
+never decisions: admission schedules each job's submit/notice events
+before the clock can reach them, whenever that happens.
 """
 
 from __future__ import annotations

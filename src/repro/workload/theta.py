@@ -281,7 +281,7 @@ def stream_jobs_from_rows(spec: WorkloadSpec, rows: List[dict]) -> JobStream:
     mutating them — the point is to stream many simulations off one
     cached row list (see :mod:`repro.workload.trace_cache`).  Job ids
     and ordering match :func:`generate_trace` exactly, so a simulation
-    fed from here is byte-identical to the materialized path.
+    fed from here is byte-identical to one fed that list.
     """
 
     def emit() -> Iterator[Job]:

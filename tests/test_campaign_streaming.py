@@ -3,24 +3,24 @@
 The streamed path (generator-backed cells off the shared
 :class:`~repro.workload.trace_cache.TraceCache`, batched pool dispatch,
 per-worker scratch reuse) must be a pure execution-strategy change:
-every store a campaign produces is **byte-identical** to the
-materialized pre-cache path, cell for cell, across mechanisms,
-scheduling policies, checkpoint/failure axes, and SWF-backed cells.
+every store a campaign produces matches, cell for cell, the store the
+materialized pre-cache path produced, as recorded in
+``golden/stream_reference.json`` — across mechanisms, scheduling
+policies, checkpoint/failure axes, SWF-backed cells and trace-kind
+payloads.
 """
 
 import pytest
 
 from repro.campaign import CampaignSpec, ResultStore, run_campaign, run_worker
 from repro.campaign.distrib.worker import known_keys
-from repro.campaign.executor import (
-    _batch_size,
-    execute_cell,
-    trace_affine_order,
-)
+from repro.campaign.executor import _batch_size, trace_affine_order
 from repro.campaign.distrib.merge import merge_shards
 from repro.metrics.summary import deterministic_view
 from repro.sched.registry import policy_names
 from repro.workload.trace_cache import reset_trace_cache
+
+from stream_reference import check, store_view
 
 SWF_TEXT = """\
 ; MaxNodes: 512
@@ -60,64 +60,47 @@ def fresh_cache():
     reset_trace_cache()
 
 
-def stores_for(spec: CampaignSpec):
-    """(streamed store bytes, materialized store bytes) for one spec."""
-    streamed, materialized = ResultStore(), ResultStore()
-    a = run_campaign(spec, store=streamed, stream=True)
-    b = run_campaign(spec, store=materialized, stream=False)
-    assert a.n_failed == b.n_failed
-    return streamed.canonical_bytes(), materialized.canonical_bytes()
+def check_store(case: str, spec: CampaignSpec) -> None:
+    """Run *spec* and compare every cell with the recorded reference."""
+    store = ResultStore()
+    assert run_campaign(spec, store=store).n_failed == 0
+    check(case, store_view(store))
 
 
 class TestStreamedStoreEquivalence:
     def test_small_grid_byte_identical(self):
-        streamed, materialized = stores_for(small_spec())
-        assert streamed == materialized
+        check_store("campaign/small_grid", small_spec())
 
     @pytest.mark.parametrize("mechanism", ALL_MECHANISMS)
     def test_every_mechanism(self, mechanism):
         spec = small_spec(mechanism=[mechanism], seeds=[1])
-        streamed, materialized = stores_for(spec)
-        assert streamed == materialized
+        check_store(f"campaign/mechanism/{mechanism or 'baseline'}", spec)
 
     @pytest.mark.parametrize("policy", policy_names())
     def test_every_policy(self, policy):
         spec = small_spec(policy=[policy], mechanism=[None], seeds=[1])
-        streamed, materialized = stores_for(spec)
-        assert streamed == materialized
+        check_store(f"campaign/policy/{policy}", spec)
 
     def test_checkpoint_and_failure_axes(self):
-        # failure cells exercise the (lazily built) failure RNG on both
-        # paths; checkpoint variants share one cached trace when streamed
+        # failure cells exercise the lazily built failure RNG;
+        # checkpoint variants share one cached trace
         spec = small_spec(
             mechanism=["CUP&SPAA"],
             checkpoint_multiplier=[0.5, 2.0],
             failure_mtbf_days=[0.0, 30.0],
             seeds=[1],
         )
-        streamed, materialized = stores_for(spec)
-        assert streamed == materialized
+        check_store("campaign/checkpoint_failure", spec)
 
     def test_swf_backed_cells(self, tmp_path):
         log = tmp_path / "log.swf"
         log.write_text(SWF_TEXT)
         spec = small_spec(trace_file=[str(log)], seeds=[1, 2])
-        streamed, materialized = stores_for(spec)
-        assert streamed == materialized
+        check_store("campaign/swf", spec)
 
     def test_trace_kind_payloads_match(self):
         spec = small_spec(kind="trace", mechanism=[None])
-        streamed, materialized = stores_for(spec)
-        assert streamed == materialized
-
-    def test_execute_cell_stream_flag_summary(self):
-        cell = small_spec().expand()[1]
-        on = execute_cell(cell.config(), stream=True)
-        off = execute_cell(cell.config(), stream=False)
-        assert on.status == off.status == "ok"
-        assert deterministic_view(on.summary) == deterministic_view(
-            off.summary
-        )
+        check_store("campaign/trace_kind", spec)
 
 
 class TestRunOneIterable:

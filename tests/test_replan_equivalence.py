@@ -174,6 +174,9 @@ def test_no_time_skip_with_clock_tracking_reservation_block():
     jobs = random_trace(3, 10)
     sim = Simulation(clone_jobs(jobs), _config(), Mechanism.parse("CUA&PAA"))
     od = next(j for j in sim.jobs if j.is_ondemand)
+    # the reservation below belongs to od, so od must be in flight:
+    # admit it the way the event loop would
+    sim._admit(od)
     sim.queue.append(sim.jobs[0])  # non-empty queue, clean dirty bit
     sim._sched_dirty = False
     assert sim._can_skip_pass()

@@ -78,16 +78,25 @@ class TestConfigPropagation:
     def test_instant_threshold_affects_metric_only(self):
         from repro.metrics.summary import summarize
 
-        jobs = [
-            rigid(1, 0.0, size=100, runtime=1000.0),
-            Job(job_id=2, job_type=JobType.ONDEMAND, submit_time=500.0,
-                size=10, runtime=100.0, estimate=100.0),
+        def run(threshold):
+            jobs = [
+                rigid(1, 0.0, size=100, runtime=1000.0),
+                Job(job_id=2, job_type=JobType.ONDEMAND, submit_time=500.0,
+                    size=10, runtime=100.0, estimate=100.0),
+            ]
+            config = cfg(instant_threshold_s=threshold, log_decisions=True)
+            return Simulation(jobs, config, None).run()
+
+        strict, lenient = run(60.0), run(600.0)
+        for res in (strict, lenient):
+            od = next(j for j in res.jobs if j.is_ondemand)
+            assert od.start_delay == pytest.approx(500.0)
+        # the threshold changes the metric, never a decision
+        assert [e.to_json_line() for e in strict.log.entries] == [
+            e.to_json_line() for e in lenient.log.entries
         ]
-        res = Simulation(jobs, cfg(), None).run()
-        od = next(j for j in res.jobs if j.is_ondemand)
-        assert od.start_delay == pytest.approx(500.0)
-        assert summarize(res, instant_threshold_s=60.0).instant_start_rate == 0.0
-        assert summarize(res, instant_threshold_s=600.0).instant_start_rate == 1.0
+        assert summarize(strict).instant_start_rate == 0.0
+        assert summarize(lenient).instant_start_rate == 1.0
 
 
 class TestPolicyPlugin:

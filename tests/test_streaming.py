@@ -5,10 +5,13 @@ Covers the three equivalence contracts the streaming path promises:
 
 * ``iter_jobs()`` / ``iter_swf()`` yield *exactly* the jobs their
   materializing counterparts build — same ids, same fields, same order;
-* a streamed simulation produces byte-identical summaries, breakdowns,
-  and scheduler decision logs to a materialized run of the same trace,
-  for the baseline and every paper mechanism, while retaining no job
-  list (``result.jobs == []``);
+* a streamed simulation — and a list-fed one, which streams the sorted
+  list — produces byte-identical summaries, breakdowns, and scheduler
+  decision logs to the materialized run recorded in
+  ``golden/stream_reference.json`` (the simulator's former up-front
+  seeding mode), for the baseline, every paper mechanism and every
+  policy, while a streamed run retains no job list
+  (``result.jobs == []``);
 * the two bugfix satellites: ``EventQueue.pop_batch`` must not split
   same-instant batches at month-scale timestamps (the seed's absolute
   ``1e-9`` tolerance did, past ``t ~ 1e8`` s), and
@@ -19,28 +22,28 @@ Covers the three equivalence contracts the streaming path promises:
 
 import math
 import os
+import random
 
 import pytest
 
 from repro.core.mechanisms import ALL_MECHANISMS
+from repro.jobs.job import JobType
 from repro.sched.registry import policy_names
-from repro.metrics.breakdown import (
-    ondemand_by_notice_class,
-    utilization_series,
-    waste_by_type,
-)
+from repro.metrics.breakdown import utilization_series
 from repro.metrics.summary import deterministic_view, summarize
 from repro.obs.registry import Histogram
-from repro.perf.record import canonical_json
 from repro.sim.config import SimConfig
 from repro.sim.engine import EventQueue
 from repro.sim.events import EventType
 from repro.sim.simulator import LatencyStats, Simulation
 from repro.util.errors import ConfigurationError
+from repro.util.timeconst import HOUR
 from repro.workload.spec import theta_spec
 from repro.workload.stream import as_stream
 from repro.workload.swf import iter_swf, load_swf, stream_swf
 from repro.workload.theta import ThetaWorkloadGenerator
+
+from stream_reference import check, sim_view
 
 #: small but fully featured: every job type, every notice class, a few
 #: hundred jobs — enough for preemptions, loans, and shrinks to occur
@@ -115,86 +118,70 @@ def test_iter_swf_matches_load_swf(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Streamed simulation == materialized simulation, byte for byte
+# Streamed and list-fed runs == the recorded materialized reference
 # ----------------------------------------------------------------------
-def _canonical(result) -> bytes:
-    """Everything the metrics layer derives, in canonical JSON bytes."""
-    return canonical_json(
-        {
-            "summary": deterministic_view(summarize(result)),
-            "by_notice": [
-                vars(o) for o in ondemand_by_notice_class(result)
-            ],
-            "waste": waste_by_type(result),
-        }
-    ).encode()
-
-
 @pytest.mark.parametrize(
     "mechanism",
     [None] + list(ALL_MECHANISMS),
     ids=lambda m: str(m) if m else "baseline",
 )
 def test_streamed_matches_materialized(mechanism):
-    gen = ThetaWorkloadGenerator(SPEC, seed=3)
+    """A streamed run and a list-fed run each reproduce the recorded
+    materialized run byte for byte: summary, breakdowns, run counters,
+    and the full decision transcript (same starts, preemptions, and
+    reservations, in the same order)."""
     config = _sim_config(log_decisions=True)
-    mat = Simulation(gen.generate(), config, mechanism).run()
+    jobs = ThetaWorkloadGenerator(SPEC, seed=3).generate()
+    listed = Simulation(jobs, config, mechanism).run()
     st = Simulation(
         ThetaWorkloadGenerator(SPEC, seed=3).iter_jobs(), config, mechanism
     ).run()
     assert st.jobs == []  # the stream was never materialized
-    assert _canonical(st) == _canonical(mat)
-    # the full decision transcript is identical too: same starts, same
-    # preemptions, same reservations, in the same order
-    assert [e.to_json_line() for e in st.log.entries] == [
-        e.to_json_line() for e in mat.log.entries
-    ]
-    assert (
-        st.events_processed,
-        st.schedule_passes,
-        st.makespan,
-        st.first_submit,
-        st.last_end,
-    ) == (
-        mat.events_processed,
-        mat.schedule_passes,
-        mat.makespan,
-        mat.first_submit,
-        mat.last_end,
-    )
+    # the caller's list comes back, its jobs mutated in place
+    assert len(listed.jobs) == len(jobs)
+    assert all(a is b for a, b in zip(listed.jobs, jobs))
+    assert all(j.stats.end_time is not None for j in jobs if not j.no_show)
+    case = f"sim/mechanism/{mechanism.name if mechanism else 'baseline'}"
+    check(case, sim_view(listed))
+    check(case, sim_view(st))
 
 
 @pytest.mark.parametrize("policy", STREAM_POLICIES)
 def test_streamed_matches_materialized_every_policy(policy):
-    """Stream == materialized holds for every *registered* policy, new
-    entries included automatically — aging policies (time-varying keys)
-    exercise the pass-skip interplay hardest."""
+    """The reference holds for every *registered* policy — aging
+    policies (time-varying keys) exercise the pass-skip interplay
+    hardest.  A policy registered after the reference was recorded
+    needs its case recorded (``REPRO_UPDATE_GOLDEN=1``)."""
     spec = theta_spec(days=2, target_load=0.85)
     config = SimConfig(
         system_size=spec.system_size, log_decisions=True, policy=policy
     )
     mechanism = ALL_MECHANISMS[0]
-    mat = Simulation(
+    listed = Simulation(
         ThetaWorkloadGenerator(spec, seed=9).generate(), config, mechanism
     ).run()
     st = Simulation(
         ThetaWorkloadGenerator(spec, seed=9).iter_jobs(), config, mechanism
     ).run()
     assert st.jobs == []
-    assert _canonical(st) == _canonical(mat)
-    assert [e.to_json_line() for e in st.log.entries] == [
-        e.to_json_line() for e in mat.log.entries
-    ]
+    check(f"sim/policy/{policy}", sim_view(listed))
+    check(f"sim/policy/{policy}", sim_view(st))
 
 
 def test_any_iterable_is_accepted_as_a_stream():
-    jobs = ThetaWorkloadGenerator(SPEC, seed=5).generate()
-    mat = Simulation(jobs, _sim_config()).run()
     st = Simulation(
         iter(ThetaWorkloadGenerator(SPEC, seed=5).generate()), _sim_config()
     ).run()
     assert st.jobs == []
-    assert _canonical(st) == _canonical(mat)
+    check("sim/any_iterable", sim_view(st))
+
+
+def test_list_order_does_not_matter():
+    """A list is sorted by submit time before it streams, so a shuffled
+    copy of the trace runs exactly like the generator's sorted one."""
+    jobs = ThetaWorkloadGenerator(SPEC, seed=5).generate()
+    random.Random(0).shuffle(jobs)
+    check("sim/any_iterable", sim_view(Simulation(jobs, _sim_config()).run()))
 
 
 def test_unsorted_stream_is_rejected():
@@ -208,32 +195,99 @@ def test_streamed_result_rejects_per_job_consumers():
     st = Simulation(
         ThetaWorkloadGenerator(SPEC, seed=0).iter_jobs(), _sim_config()
     ).run()
-    # the accumulator was built for the configured threshold; asking for
-    # a different one needs the per-job list streamed runs do not keep
-    with pytest.raises(ValueError):
-        summarize(st, instant_threshold_s=1.0)
-    with pytest.raises(ValueError):
-        ondemand_by_notice_class(st, instant_threshold_s=1.0)
+    # segment records retire with their jobs; only a list-fed run keeps
+    # them (as result.jobs)
     with pytest.raises(ValueError):
         utilization_series(st)
+    # the accumulator carries the configured threshold
+    assert st.accumulator.instant_threshold_s == (
+        _sim_config().instant_threshold_s
+    )
+
+
+def _legacy_summary(result) -> dict:
+    """The per-job grouping ``summarize`` used before the accumulator
+    became its only source: a test oracle over a list-fed run's jobs."""
+    threshold = result.accumulator.instant_threshold_s
+    noshows = [j for j in result.jobs if j.no_show]
+    jobs = [j for j in result.jobs if not j.no_show]
+    by_type = {t: [j for j in jobs if j.job_type is t] for t in JobType}
+    rigid = by_type[JobType.RIGID]
+    malleable = by_type[JobType.MALLEABLE]
+    ondemand = by_type[JobType.ONDEMAND]
+    capacity = result.system_size * result.horizon
+    allocated = sum(j.stats.allocated_node_seconds for j in jobs)
+    lost = sum(j.stats.lost_node_seconds for j in jobs)
+    wasted_setup = sum(j.stats.wasted_setup_node_seconds for j in jobs)
+    ckpt = sum(j.stats.checkpoint_node_seconds for j in jobs)
+    instant = [
+        j
+        for j in ondemand
+        if j.stats.first_start is not None
+        and j.start_delay <= threshold + 1e-9
+    ]
+
+    def mean(values):
+        vals = [v for v in values if not math.isnan(v)]
+        return sum(vals) / len(vals) if vals else math.nan
+
+    def ratio(group, hit):
+        return sum(1 for j in group if hit(j)) / len(group) if group else 0.0
+
+    return {
+        "mechanism": result.mechanism,
+        "n_jobs": len(jobs),
+        "n_rigid": len(rigid),
+        "n_malleable": len(malleable),
+        "n_ondemand": len(ondemand),
+        "n_noshow": len(noshows),
+        "avg_turnaround_h": mean([j.turnaround for j in jobs]) / HOUR,
+        "avg_turnaround_rigid_h": mean([j.turnaround for j in rigid]) / HOUR,
+        "avg_turnaround_malleable_h": (
+            mean([j.turnaround for j in malleable]) / HOUR
+        ),
+        "avg_turnaround_ondemand_h": (
+            mean([j.turnaround for j in ondemand]) / HOUR
+        ),
+        "instant_start_rate": (
+            len(instant) / len(ondemand) if ondemand else 0.0
+        ),
+        "avg_ondemand_delay_s": mean([j.start_delay for j in ondemand]),
+        "preemption_ratio_rigid": ratio(rigid, lambda j: j.stats.preemptions),
+        "preemption_ratio_malleable": ratio(
+            malleable, lambda j: j.stats.preemptions
+        ),
+        "shrink_ratio_malleable": ratio(malleable, lambda j: j.stats.shrinks),
+        "system_utilization": max(0.0, allocated - lost - wasted_setup)
+        / capacity,
+        "allocated_frac": allocated / capacity,
+        "lost_compute_frac": lost / capacity,
+        "wasted_setup_frac": wasted_setup / capacity,
+        "checkpoint_frac": ckpt / capacity,
+        "reserved_idle_frac": result.reserved_idle_node_seconds / capacity,
+        "makespan_h": result.makespan / HOUR,
+        "lease_resumes": result.lease_resumes,
+        "lease_expands": result.lease_expands,
+        "events_processed": result.events_processed,
+        "schedule_passes": result.schedule_passes,
+        "passes_skipped": result.passes_skipped,
+    }
 
 
 def test_materialized_summary_dispatch_matches_legacy_grouping():
-    """The accumulator path and the legacy per-job grouping agree on a
-    materialized run — the differential that guards ``summarize``'s
-    dispatch.  Agreement is to float-summation-order precision: the
-    accumulator folds in finish order, the legacy grouping in job-id
-    order, so sums can differ by an ULP (exactness is asserted where it
-    matters — streamed vs materialized, which share the accumulator).
-    """
+    """On a list-fed run, the accumulator summary agrees with the legacy
+    per-job grouping (:func:`_legacy_summary`).  Agreement is to
+    float-summation-order precision: the accumulator folds in finish
+    order, the legacy grouping in job-id order, so sums can differ by an
+    ULP (exactness is pinned where it matters — by the recorded
+    reference above)."""
     result = Simulation(
         ThetaWorkloadGenerator(SPEC, seed=9).generate(),
         _sim_config(),
         ALL_MECHANISMS[0],
     ).run()
     via_acc = deterministic_view(summarize(result))
-    result.accumulator = None  # force the legacy per-job path
-    via_jobs = deterministic_view(summarize(result))
+    via_jobs = _legacy_summary(result)
     assert set(via_acc) == set(via_jobs)
     for key, value in via_jobs.items():
         got = via_acc[key]
