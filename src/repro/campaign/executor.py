@@ -237,8 +237,7 @@ def execute_cells_traced(
     from repro.obs.export import events_from_spans
 
     with enabled_obs() as child_obs:
-        with child_obs.span("campaign.batch", n_cells=len(configs)):
-            records = [execute_cell(c, log_dir=log_dir) for c in configs]
+        records = execute_cells(configs, log_dir)
         events = events_from_spans(
             child_obs.tracer.records(),
             process_name=f"pool-worker-{os.getpid()}",
@@ -397,20 +396,21 @@ def _dispatch_batched(
     pool: ProcessPoolExecutor,
     fn: Callable,
     todo: Sequence[CampaignCell],
-    batch_size: int,
-    max_inflight: int,
+    workers: int,
     log_dir: Optional[str],
     handle: Callable[[Any], None],
 ) -> None:
     """Submit cell batches through a bounded in-flight window.
 
-    At most *max_inflight* batch futures exist at any moment — the
-    pre-batching code submitted the entire plan up front, materializing
-    one future (plus a pickled config) per cell before the first result
-    came back.  Results are handled finished-first
-    (``wait(FIRST_COMPLETED)``), so a slow batch never blocks
-    persistence of faster ones.
+    Batches hold :func:`_batch_size` cells, and at most ``4 * workers``
+    batch futures exist at any moment — the pre-batching code submitted
+    the entire plan up front, materializing one future (plus a pickled
+    config) per cell before the first result came back.  Results are
+    handled finished-first (``wait(FIRST_COMPLETED)``), so a slow batch
+    never blocks persistence of faster ones.
     """
+    batch_size = _batch_size(len(todo), workers)
+    max_inflight = 4 * workers
     pending = iter(
         [todo[i:i + batch_size] for i in range(0, len(todo), batch_size)]
     )
@@ -442,8 +442,6 @@ def run_campaign(
     allow_spec_update: bool = False,
     progress: Optional[Callable[[str], None]] = None,
     log_dir: Optional[str] = None,
-    batch_size: Optional[int] = None,
-    max_inflight: Optional[int] = None,
 ) -> CampaignRunResult:
     """Execute every not-yet-computed cell of *spec*.
 
@@ -455,7 +453,8 @@ def run_campaign(
     store:
         An explicit store, overriding *directory*.
     workers:
-        Worker processes; 1 runs serially (deterministic order).
+        Worker processes; 1 runs serially (deterministic order).  With
+        more, cells ship in batches (see :func:`_dispatch_batched`).
     retry_failed:
         Re-run cells whose stored status is ``error`` instead of
         keeping the failure record.
@@ -471,15 +470,6 @@ def run_campaign(
     log_dir:
         Write each simulated cell's scheduler decision log to
         ``<log_dir>/<cell key>.jsonl`` (``--log-decisions``).
-    batch_size:
-        Cells per pool round-trip (``--batch-size``); default sizes
-        batches at ~4 per worker, capped at 8 (:func:`_batch_size`).
-        Only meaningful with ``workers > 1``.
-    max_inflight:
-        Bound on simultaneously submitted batch futures; default
-        ``4 * workers``.  Keeps the dispatch window (and its pickled
-        configs) bounded instead of materializing the whole plan as
-        futures up front.
 
     For multi-machine execution of the same grid, see
     :func:`repro.campaign.distrib.run_fleet` — it shares this planner
@@ -520,9 +510,6 @@ def run_campaign(
                 store.put(record)
                 say(_cell_line(record, by_key[record.key]))
         else:
-            n_batch = batch_size or _batch_size(len(todo), workers)
-            window = max_inflight or 4 * workers
-
             def persist(records: List[CellRecord]) -> None:
                 for record in records:
                     store.put(record)
@@ -538,8 +525,8 @@ def run_campaign(
                         persist(records)
 
                     _dispatch_batched(
-                        pool, execute_cells_traced, todo, n_batch,
-                        window, log_dir, handle,
+                        pool, execute_cells_traced, todo, workers,
+                        log_dir, handle,
                     )
                 else:
                     # batches persist the moment each finishes, in any
@@ -547,8 +534,8 @@ def run_campaign(
                     # flight — an ordered stream would buffer completed
                     # batches behind a slow head-of-line batch
                     _dispatch_batched(
-                        pool, execute_cells, todo, n_batch,
-                        window, log_dir, persist,
+                        pool, execute_cells, todo, workers,
+                        log_dir, persist,
                     )
 
     final = collect_records(spec, store)

@@ -266,16 +266,6 @@ def make_campaign_parser() -> argparse.ArgumentParser:
     _add_grid_args(run_p)
     run_p.add_argument("--workers", type=int, default=1)
     run_p.add_argument(
-        "--batch-size", type=int, default=None,
-        help="cells per pool round-trip with --workers > 1 "
-        "(default: auto, ~4 batches per worker capped at 8)",
-    )
-    run_p.add_argument(
-        "--max-inflight", type=int, default=None,
-        help="bound on simultaneously submitted cell batches "
-        "(default: 4 x workers)",
-    )
-    run_p.add_argument(
         "--retry-failed",
         action="store_true",
         help="re-run cells whose stored status is 'error'",
@@ -864,8 +854,6 @@ def campaign_main(argv: List[str]) -> int:
             allow_spec_update=args.grow,
             progress=print,
             log_dir=args.log_decisions,
-            batch_size=args.batch_size,
-            max_inflight=args.max_inflight,
         )
         print(
             f"campaign {spec.name!r}: {result.n_total} cells — "

@@ -152,8 +152,13 @@ def _spec_overrides(spec: WorkloadSpec) -> dict:
 
 def _sim_overrides(sim: SimConfig) -> dict:
     """Non-default simulator knobs not already covered by campaign axes."""
+    # rebuilt exactly as CampaignCell.sim_config rebuilds it from the
+    # failure_mtbf_days axis: an MTBF that does not survive the
+    # seconds -> days -> seconds trip bit for bit becomes an override
     failures = (
-        FailureModel(enabled=True, node_mtbf_s=sim.failures.node_mtbf_s)
+        FailureModel(
+            enabled=True, node_mtbf_s=(sim.failures.node_mtbf_s / DAY) * DAY
+        )
         if sim.failures.enabled
         else FailureModel.disabled()
     )

@@ -9,13 +9,17 @@ EXPERIMENTS.md paper-vs-measured record is produced the same way.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.mechanisms import ALL_MECHANISMS, Mechanism
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_mechanism_grid
+from repro.experiments.runner import (
+    run_cells,
+    run_mechanism_grid,
+    seed_averages,
+)
 from repro.metrics.report import format_summary_rows, format_table
-from repro.metrics.summary import SummaryMetrics, average_summaries
+from repro.metrics.summary import SummaryMetrics
 from repro.workload.ondemand import burstiness_cv
 from repro.workload.spec import NOTICE_MIXES, NoticeMix, W1, W2, W3, W4, W5
 from repro.workload.theta import generate_trace
@@ -26,9 +30,6 @@ from repro.workload.trace import (
 )
 
 FIG6_MIXES: List[NoticeMix] = [W1, W2, W3, W4, W5]
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.campaign.store import CellRecord
 
 
 # ----------------------------------------------------------------------
@@ -98,21 +99,10 @@ def fig5_burstiness(
     Runs as a ``kind="trace"`` campaign, so passing *campaign_dir*
     caches the per-seed workload characterizations across invocations.
     """
-    from repro.campaign.executor import run_campaign
-    from repro.campaign.store import ResultStore
-
     cspec = config.to_campaign_spec(name="fig5", kind="trace")
     cspec = replace(cspec, mechanism=(None,), seeds=tuple(config.seeds()[:3]))
-    store = ResultStore(campaign_dir) if campaign_dir else None
-    run = run_campaign(cspec, store=store, workers=config.workers)
-    if run.n_failed:
-        failed = [r for r in run.records if not r.ok]
-        raise RuntimeError(
-            f"{run.n_failed} trace cells failed; first error:\n"
-            f"{failed[0].error}"
-        )
     series = {}
-    for record in run.ok_records:
+    for record in run_cells(cspec, config.workers, campaign_dir):
         payload = record.payload or {}
         series[int(record.config["seed"])] = list(payload["weekly_ondemand"])
     rows = []
@@ -193,49 +183,6 @@ def table3_mixes() -> Dict[str, object]:
 # ----------------------------------------------------------------------
 # Fig. 6 — the headline grid: mechanisms x mixes
 # ----------------------------------------------------------------------
-def _mix_matches(config_mix: object, mix: NoticeMix) -> bool:
-    if isinstance(config_mix, str):
-        return config_mix == mix.name
-    if isinstance(config_mix, dict):
-        return config_mix.get("name") == mix.name
-    return False
-
-
-def _sweep_from_records(
-    records: Sequence["CellRecord"],
-    mixes: Sequence[NoticeMix],
-    mechanisms: Sequence[Optional[Mechanism]],
-) -> Dict[str, Dict[Optional[str], SummaryMetrics]]:
-    """Reassemble campaign records into the Fig. 6 sweep shape."""
-    out: Dict[str, Dict[Optional[str], SummaryMetrics]] = {}
-    for mix in mixes:
-        per_mech: Dict[Optional[str], SummaryMetrics] = {}
-        for m in mechanisms:
-            name = m.name if m else None
-            group = [
-                r.summary_metrics()
-                for r in records
-                if r.ok
-                and r.config["mechanism"] == name
-                and _mix_matches(r.config["notice_mix"], mix)
-            ]
-            if not group:
-                failed = [
-                    r
-                    for r in records
-                    if not r.ok
-                    and r.config["mechanism"] == name
-                    and _mix_matches(r.config["notice_mix"], mix)
-                ]
-                raise RuntimeError(
-                    f"no completed cells for mix={mix.name} "
-                    f"mechanism={name}; first error:\n"
-                    f"{failed[0].error if failed else '(no cells at all)'}"
-                )
-            per_mech[name] = average_summaries(group)
-        out[mix.name] = per_mech
-    return out
-
 def fig6_mechanisms(
     config: ExperimentConfig,
     mixes: Optional[Sequence[NoticeMix]] = None,
@@ -248,22 +195,18 @@ def fig6_mechanisms(
     later invocation — including partial overlaps such as a rerun with
     more seeds or extra mechanisms.
     """
-    from repro.campaign.executor import run_campaign
-    from repro.campaign.store import ResultStore
-
     mixes = list(mixes) if mixes is not None else FIG6_MIXES
     cspec = config.to_campaign_spec(name="fig6", mixes=mixes)
-    store = ResultStore(campaign_dir) if campaign_dir else None
-    run = run_campaign(cspec, store=store, workers=config.workers)
-    if run.n_failed:
-        # a partial seed average would silently skew the figure; surface
-        # the failure instead (retry via the campaign CLI --retry-failed)
-        failed = [r for r in run.records if not r.ok]
-        raise RuntimeError(
-            f"{run.n_failed} fig6 cells failed; first error:\n"
-            f"{failed[0].error}"
-        )
-    sweep = _sweep_from_records(run.records, mixes, config.mechanisms)
+    averaged = seed_averages(
+        run_cells(cspec, config.workers, campaign_dir),
+        by=("notice_mix", "mechanism"),
+    )
+    sweep = {
+        mix.name: {
+            m.name: averaged[(mix.name, m.name)] for m in config.mechanisms
+        }
+        for mix in mixes
+    }
     parts = [table3_mixes()["text"], ""]
     for mix in mixes:
         parts.append(
@@ -297,34 +240,22 @@ def fig7_checkpointing(
     (multiplier x mechanism x seed) cell is cached on disk — rerunning
     with an extra multiplier only computes the new column.
     """
-    from repro.campaign.executor import run_campaign
-    from repro.campaign.store import ResultStore
-
     cspec = config.to_campaign_spec(name="fig7")
     cspec = replace(
         cspec,
         checkpoint_multiplier=tuple(float(m) for m in multipliers),
     )
-    store = ResultStore(campaign_dir) if campaign_dir else None
-    run = run_campaign(cspec, store=store, workers=config.workers)
-    if run.n_failed:
-        failed = [r for r in run.records if not r.ok]
-        raise RuntimeError(
-            f"{run.n_failed} fig7 cells failed; first error:\n"
-            f"{failed[0].error}"
-        )
+    averaged = seed_averages(
+        run_cells(cspec, config.workers, campaign_dir),
+        by=("checkpoint_multiplier", "mechanism"),
+    )
     results: Dict[float, Dict[Optional[str], SummaryMetrics]] = {}
     parts = []
     for mult in multipliers:
-        grid: Dict[Optional[str], SummaryMetrics] = {}
-        for m in config.mechanisms:
-            group = [
-                r.summary_metrics()
-                for r in run.ok_records
-                if r.config["mechanism"] == m.name
-                and float(r.config["checkpoint_multiplier"]) == float(mult)
-            ]
-            grid[m.name] = average_summaries(group)
+        grid: Dict[Optional[str], SummaryMetrics] = {
+            m.name: averaged[(float(mult), m.name)]
+            for m in config.mechanisms
+        }
         results[mult] = grid
         parts.append(
             format_summary_rows(
@@ -411,11 +342,11 @@ def _grid_charts(
 
 
 # ----------------------------------------------------------------------
-# Convenience: the full headline comparison at the default mix
+# Convenience: the headline comparison at the default mix
 # ----------------------------------------------------------------------
 def headline_comparison(config: ExperimentConfig) -> Dict[str, object]:
-    """Baseline + all six mechanisms at the spec's default mix (W5)."""
-    mechanisms: List[Optional[Mechanism]] = [None, *ALL_MECHANISMS]
+    """Baseline + the configured mechanisms at the spec's default mix."""
+    mechanisms: List[Optional[Mechanism]] = [None, *config.mechanisms]
     grid = run_mechanism_grid(
         config.spec,
         mechanisms,
@@ -423,7 +354,10 @@ def headline_comparison(config: ExperimentConfig) -> Dict[str, object]:
         sim=config.sim,
         workers=config.workers,
     )
-    text = format_summary_rows(
-        list(grid.values()), title="Baseline vs. the six mechanisms"
+    title = (
+        "Baseline vs. the six mechanisms"
+        if config.mechanisms == list(ALL_MECHANISMS)
+        else "Baseline vs. " + ", ".join(m.name for m in config.mechanisms)
     )
+    text = format_summary_rows(list(grid.values()), title=title)
     return {"grid": grid, "text": text}

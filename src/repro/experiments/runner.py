@@ -1,46 +1,39 @@
-"""Grid runner: (mechanism x trace seed x workload mix) campaigns.
+"""Grid runner: (mechanism x trace seed) grids, averaged over seeds.
 
-Each cell generates its trace *inside* the run call so worker processes
-never ship job lists around — a (spec, seed, mechanism) triple is a
-complete description of a cell, which also makes every cell individually
-reproducible from the command line.
+:func:`run_one` simulates one cell: it generates its trace *inside* the
+call, so a (spec, seed, mechanism) triple is a complete description of
+a cell and every cell is individually reproducible from the command
+line.  Grids run on the campaign engine
+(:func:`repro.campaign.executor.run_campaign`), which imports
+:func:`run_one` — so ``repro.campaign`` is imported lazily here.
 """
 
 from __future__ import annotations
 
-import traceback
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.mechanisms import Mechanism
+from repro.experiments.config import ExperimentConfig
 from repro.jobs.job import Job
 from repro.metrics.summary import SummaryMetrics, average_summaries, summarize
 from repro.sim.config import SimConfig
-from repro.sim.simulator import Simulation, SimScratch, process_scratch
-from repro.workload.spec import NoticeMix, WorkloadSpec
+from repro.sim.simulator import Simulation, SimScratch
+from repro.workload.spec import WorkloadSpec
 from repro.workload.theta import stream_jobs_from_rows
 from repro.workload.trace_cache import get_trace_cache
 
-
-@dataclass(frozen=True)
-class Cell:
-    """One grid cell: a mechanism run on one generated trace.
-
-    ``summary`` is ``None`` — and ``error`` holds the worker traceback —
-    when the cell raised instead of completing; one bad cell must never
-    abort a whole grid.
-    """
-
-    mechanism_name: Optional[str]
-    seed: int
-    mix_name: str
-    summary: Optional[SummaryMetrics]
-    error: Optional[str] = None
-
-    @property
-    def failed(self) -> bool:
-        return self.error is not None
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.campaign.spec import CampaignSpec
+    from repro.campaign.store import CellRecord
 
 
 def run_one(
@@ -85,62 +78,47 @@ def run_one(
     return summarize(result)
 
 
-def _run_cell(
-    args: Tuple[WorkloadSpec, int, Optional[str], SimConfig, str],
-) -> Cell:
-    spec, seed, mech_name, sim, mix_name = args
-    try:
-        mechanism = Mechanism.parse(mech_name) if mech_name else None
-        summary = run_one(spec, seed, mechanism, sim, scratch=process_scratch())
-    except Exception:
-        return Cell(
-            mechanism_name=mech_name,
-            seed=seed,
-            mix_name=mix_name,
-            summary=None,
-            error=traceback.format_exc(),
-        )
-    return Cell(
-        mechanism_name=mech_name, seed=seed, mix_name=mix_name, summary=summary
-    )
+def run_cells(
+    cspec: "CampaignSpec",
+    workers: int = 1,
+    campaign_dir: Optional[str] = None,
+) -> List["CellRecord"]:
+    """Run every cell of *cspec*; raise if any cell failed.
 
-
-def _chunksize(n_cells: int, workers: int) -> int:
-    """Batch cells per worker dispatch: ~4 chunks per worker, capped at 8.
-
-    The default ``pool.map`` chunksize of 1 pays one pickle/dispatch round
-    trip per cell, which dominates for the many-small-cell grids the
-    campaign engine produces.
+    Without *campaign_dir* the grid runs on an in-memory store; with it,
+    completed cells are cached on disk and reused by later invocations.
+    Returns one record per unique cell, in expansion order.
     """
-    return max(1, min(8, n_cells // (workers * 4) or 1))
+    from repro.campaign.executor import run_campaign
+    from repro.campaign.store import ResultStore
 
-
-def _execute(
-    cells: List[Tuple[WorkloadSpec, int, Optional[str], SimConfig, str]],
-    workers: int,
-) -> List[Cell]:
-    if workers <= 1:
-        return [_run_cell(c) for c in cells]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(
-            pool.map(_run_cell, cells, chunksize=_chunksize(len(cells), workers))
-        )
-
-
-def _group(results: List[Cell], **match: object) -> List[SummaryMetrics]:
-    """Summaries of the non-failed cells matching the given fields."""
-    group = [
-        c
-        for c in results
-        if all(getattr(c, k) == v for k, v in match.items())
-    ]
-    ok = [c.summary for c in group if c.summary is not None]
-    if group and not ok:
+    store = ResultStore(campaign_dir) if campaign_dir else None
+    run = run_campaign(cspec, store=store, workers=workers)
+    if run.n_failed:
+        # a partial seed average would silently skew the exhibit; surface
+        # the failure instead (retry via the campaign CLI --retry-failed)
+        failed = [r for r in run.records if not r.ok]
         raise RuntimeError(
-            f"all {len(group)} cells failed for {match}; first error:\n"
-            f"{group[0].error}"
+            f"{run.n_failed} {cspec.name} cells failed; first error:\n"
+            f"{failed[0].error}"
         )
-    return ok
+    return run.records
+
+
+def seed_averages(
+    records: Sequence["CellRecord"], by: Sequence[str]
+) -> Dict[Tuple[object, ...], SummaryMetrics]:
+    """Seed-averaged summary per distinct value of the *by* config fields.
+
+    Keys are :func:`repro.campaign.report.group_records` keys, in
+    first-seen order (the baseline mechanism groups as ``"baseline"``).
+    """
+    from repro.campaign.report import group_records
+
+    return {
+        key: average_summaries([r.summary_metrics() for r in recs])
+        for key, recs in group_records(records, by).items()
+    }
 
 
 def run_mechanism_grid(
@@ -149,55 +127,22 @@ def run_mechanism_grid(
     seeds: Sequence[int],
     sim: Optional[SimConfig] = None,
     workers: int = 1,
-    mix_name: str = "",
 ) -> Dict[Optional[str], SummaryMetrics]:
     """Average each mechanism over the trace seeds.
 
     ``None`` in *mechanisms* runs the baseline.  Returns
-    ``{mechanism_name_or_None: averaged summary}`` preserving input order.
+    ``{mechanism_name_or_None: averaged summary}`` preserving input
+    order.  Raises if any cell fails.
     """
     sim = sim or SimConfig(system_size=spec.system_size)
-    # seed-major: the cells sharing one (spec, seed) trace run back to
-    # back, so each generation in the process-wide trace cache serves
-    # every mechanism before the LRU can evict it
-    cells = [
-        (spec, seed, m.name if m else None, sim, mix_name)
-        for seed in seeds
-        for m in mechanisms
-    ]
-    results = _execute(cells, workers)
-    out: Dict[Optional[str], SummaryMetrics] = {}
-    for m in mechanisms:
-        name = m.name if m else None
-        out[name] = average_summaries(_group(results, mechanism_name=name))
-    return out
-
-
-def run_workload_sweep(
-    spec: WorkloadSpec,
-    mixes: Sequence[NoticeMix],
-    mechanisms: Sequence[Optional[Mechanism]],
-    seeds: Sequence[int],
-    sim: Optional[SimConfig] = None,
-    workers: int = 1,
-) -> Dict[str, Dict[Optional[str], SummaryMetrics]]:
-    """The Fig. 6 grid: Table III mixes x mechanisms, averaged over seeds."""
-    sim = sim or SimConfig(system_size=spec.system_size)
-    # (mix, seed)-major for trace-cache affinity, as in run_mechanism_grid
-    cells = [
-        (spec.with_notice_mix(mix), seed, m.name if m else None, sim, mix.name)
-        for mix in mixes
-        for seed in seeds
-        for m in mechanisms
-    ]
-    results = _execute(cells, workers)
-    out: Dict[str, Dict[Optional[str], SummaryMetrics]] = {}
-    for mix in mixes:
-        per_mech: Dict[Optional[str], SummaryMetrics] = {}
-        for m in mechanisms:
-            name = m.name if m else None
-            per_mech[name] = average_summaries(
-                _group(results, mechanism_name=name, mix_name=mix.name)
-            )
-        out[mix.name] = per_mech
-    return out
+    names = [m.name if m else None for m in mechanisms]
+    config = ExperimentConfig(
+        spec=spec, sim=sim, n_traces=len(seeds), workers=workers
+    )
+    cspec = replace(
+        config.to_campaign_spec(name="grid"),
+        mechanism=tuple(names),
+        seeds=tuple(seeds),
+    )
+    averaged = seed_averages(run_cells(cspec, workers), by=("mechanism",))
+    return {name: averaged[(name or "baseline",)] for name in names}

@@ -16,8 +16,11 @@ from repro.campaign import (
 )
 from repro.experiments.cli import main as cli_main
 from repro.experiments.config import ExperimentConfig
+from repro.jobs.checkpoint import CheckpointModel
 from repro.sim.config import SimConfig
+from repro.sim.failures import FailureModel
 from repro.util.errors import ConfigurationError
+from repro.util.timeconst import DAY
 from repro.workload.spec import theta_spec
 
 #: small-but-real grid: 2 mechanisms x 2 seeds on a tiny machine
@@ -500,7 +503,10 @@ class TestReport:
         status = status_text(store.read_spec(), store.records())
         assert "4/4 cells done, 0 failed, 0 pending" in status
 
-    def test_fig6_raises_on_failed_cells(self, monkeypatch):
+    @pytest.mark.parametrize("exhibit", ["table2", "compare", "fig6", "fig7"])
+    def test_fig6_raises_on_failed_cells(self, monkeypatch, exhibit):
+        # every seed-averaged exhibit runs on the campaign engine and
+        # refuses to average over a grid with a failed cell
         import repro.campaign.executor as executor_mod
         from repro.core.mechanisms import ALL_MECHANISMS
         from repro.experiments import figures
@@ -516,8 +522,16 @@ class TestReport:
             mechanisms=[ALL_MECHANISMS[0]],
             n_traces=1,
         )
+        drivers = {
+            "table2": lambda: figures.table2_baseline(config),
+            "compare": lambda: figures.headline_comparison(config),
+            "fig6": lambda: figures.fig6_mechanisms(config, mixes=[W5]),
+            "fig7": lambda: figures.fig7_checkpointing(
+                config, multipliers=(1.0,)
+            ),
+        }
         with pytest.raises(RuntimeError, match="cells failed"):
-            figures.fig6_mechanisms(config, mixes=[W5])
+            drivers[exhibit]()
 
     def test_diff_no_overlap(self, tmp_path):
         run_campaign(small_spec(), directory=tmp_path / "a")
@@ -531,13 +545,48 @@ class TestReport:
         assert diff_text(a, b)
 
 
+#: (spec overrides, sim overrides) the grid callers bridge to campaigns
+BRIDGE_CASES = {
+    "knobs": ({"n_projects": 13}, {"allow_reserved_loans": False}),
+    # s -> days -> s is off by one ulp for this MTBF
+    "mtbf_ulp": (
+        {},
+        {
+            "failures": FailureModel(
+                enabled=True, node_mtbf_s=28444641.774354108
+            )
+        },
+    ),
+    "table2": ({}, {"flexible_malleable": False}),
+    "conservative_failures_noshow": (
+        {"ondemand_noshow_frac": 0.3},
+        {
+            "backfill_mode": "conservative",
+            "failures": FailureModel(
+                enabled=True, node_mtbf_s=0.5 * 365 * DAY
+            ),
+        },
+    ),
+    "checkpoint_quarter": (
+        {},
+        {"checkpoint": CheckpointModel().with_multiplier(0.25)},
+    ),
+    "policy_params": (
+        {},
+        {"policy": "score", "policy_params": {"wait_weight": 2.0}},
+    ),
+}
+
+
 class TestExperimentConfigBridge:
-    def test_to_campaign_spec_round_trips_overrides(self):
+    @pytest.mark.parametrize("case", list(BRIDGE_CASES))
+    def test_to_campaign_spec_round_trips_overrides(self, case):
+        spec_kw, sim_kw = BRIDGE_CASES[case]
         config = ExperimentConfig(
             spec=theta_spec(
-                days=2, system_size=512, target_load=0.6, n_projects=13
+                days=2, system_size=512, target_load=0.6, **spec_kw
             ),
-            sim=SimConfig(system_size=512, allow_reserved_loans=False),
+            sim=SimConfig(system_size=512, **sim_kw),
             n_traces=2,
         )
         cspec = config.to_campaign_spec(name="bridge")

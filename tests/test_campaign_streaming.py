@@ -168,13 +168,13 @@ class TestBatchedDispatch:
         assert 1 <= _batch_size(1000, 1) <= 8
 
     def test_pool_batched_run_matches_serial(self):
-        spec = small_spec()
+        spec = small_spec(mechanism=list(ALL_MECHANISMS), seeds=[1, 2, 3])
+        # big enough that the automatic sizing ships multi-cell batches
+        assert _batch_size(spec.n_cells, 2) >= 2
         serial = ResultStore()
         run_campaign(spec, store=serial, workers=1)
         pooled = ResultStore()
-        result = run_campaign(
-            spec, store=pooled, workers=2, batch_size=2, max_inflight=2
-        )
+        result = run_campaign(spec, store=pooled, workers=2)
         assert result.n_failed == 0
         assert pooled.canonical_bytes() == serial.canonical_bytes()
 
@@ -182,13 +182,19 @@ class TestBatchedDispatch:
         # an invalid cell inside a batch errors alone; batchmates finish
         spec = small_spec(
             system_size=[512, 1],  # size-1 machine: min_size > system
+            mechanism=list(ALL_MECHANISMS),
         )
+        todo = trace_affine_order(spec.expand())
+        n = _batch_size(len(todo), 2)
+        assert n >= 2
+        batches = [todo[i:i + n] for i in range(0, len(todo), n)]
+        assert any(len({c.system_size for c in b}) == 2 for b in batches)
         store = ResultStore()
-        result = run_campaign(spec, store=store, workers=2, batch_size=3)
-        assert result.n_failed == 4  # the system_size=1 half
-        assert result.n_ran == 8
+        result = run_campaign(spec, store=store, workers=2)
+        assert result.n_failed == 14  # the system_size=1 half
+        assert result.n_ran == 28
         ok = [r for r in store.records() if r.status == "ok"]
-        assert len(ok) == 4
+        assert len(ok) == 14
 
 
 class TestWorkerClaimBatch:

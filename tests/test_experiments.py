@@ -1,18 +1,19 @@
 """Tests for the experiment harness: configs, runner, figure drivers, CLI."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.mechanisms import ALL_MECHANISMS, Mechanism
 from repro.experiments import figures
 from repro.experiments.cli import main as cli_main
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import (
-    run_mechanism_grid,
-    run_one,
-    run_workload_sweep,
-)
+from repro.experiments.runner import run_mechanism_grid, run_one
+from repro.metrics.summary import average_summaries, deterministic_view
 from repro.sim.config import SimConfig
+from repro.sim.failures import FailureModel
 from repro.util.errors import ConfigurationError
+from repro.util.timeconst import DAY
 from repro.workload.spec import W1, W5, theta_spec
 
 #: tiny-but-nonempty campaign used across these tests
@@ -66,26 +67,54 @@ class TestRunner:
         assert grid["N&PAA"].n_jobs > 0
 
     def test_grid_parallel_matches_serial(self):
+        mechanisms = [None, ALL_MECHANISMS[2]]
         serial = run_mechanism_grid(
-            QUICK.spec, [ALL_MECHANISMS[2]], QUICK.seeds(), sim=QUICK.sim, workers=1
+            QUICK.spec, mechanisms, QUICK.seeds(), sim=QUICK.sim, workers=1
         )
         parallel = run_mechanism_grid(
-            QUICK.spec, [ALL_MECHANISMS[2]], QUICK.seeds(), sim=QUICK.sim, workers=2
+            QUICK.spec, mechanisms, QUICK.seeds(), sim=QUICK.sim, workers=2
         )
-        a, b = serial["CUA&PAA"], parallel["CUA&PAA"]
-        assert a.system_utilization == pytest.approx(b.system_utilization)
-        assert a.avg_turnaround_h == pytest.approx(b.avg_turnaround_h)
+        assert list(parallel) == list(serial) == [None, "CUA&PAA"]
+        for name in serial:
+            assert deterministic_view(parallel[name]) == deterministic_view(
+                serial[name]
+            )
 
     def test_workload_sweep_shape(self):
-        sweep = run_workload_sweep(
-            QUICK.spec,
-            [W1, W5],
-            [ALL_MECHANISMS[0]],
-            QUICK.seeds()[:1],
+        # the (mix x mechanism) sweep runs through the Fig. 6 campaign driver
+        small = ExperimentConfig(
+            spec=QUICK.spec,
             sim=QUICK.sim,
+            mechanisms=[ALL_MECHANISMS[0]],
+            n_traces=1,
         )
-        assert set(sweep) == {"W1", "W5"}
-        assert "N&PAA" in sweep["W1"]
+        sweep = figures.fig6_mechanisms(small, mixes=[W1, W5])["sweep"]
+        assert list(sweep) == ["W1", "W5"]
+        assert list(sweep["W1"]) == list(sweep["W5"]) == ["N&PAA"]
+
+    @pytest.mark.parametrize(
+        "sim",
+        [
+            QUICK.sim,
+            replace(QUICK.sim, flexible_malleable=False),
+            replace(
+                QUICK.sim,
+                failures=FailureModel(
+                    enabled=True, node_mtbf_s=0.5 * 365 * DAY
+                ),
+            ),
+        ],
+        ids=["default", "inflexible_malleable", "failures"],
+    )
+    def test_grid_matches_per_seed_oracle(self, sim):
+        mechanisms = [None, ALL_MECHANISMS[4]]
+        grid = run_mechanism_grid(QUICK.spec, mechanisms, QUICK.seeds(), sim=sim)
+        for m in mechanisms:
+            oracle = average_summaries(
+                [run_one(QUICK.spec, seed, m, sim) for seed in QUICK.seeds()]
+            )
+            name = m.name if m else None
+            assert deterministic_view(grid[name]) == deterministic_view(oracle)
 
 
 class TestFigureDrivers:
@@ -130,7 +159,8 @@ class TestFigureDrivers:
             n_traces=1,
         )
         out = figures.fig6_mechanisms(small, mixes=[W5])
-        assert "W5" in out["sweep"]
+        assert list(out["sweep"]) == ["W5"]
+        assert list(out["sweep"]["W5"]) == ["N&PAA"]
         assert "Fig. 6" in out["text"]
 
     def test_fig7_two_multipliers(self):
@@ -152,8 +182,7 @@ class TestFigureDrivers:
             n_traces=1,
         )
         out = figures.headline_comparison(small)
-        assert None in out["grid"]
-        assert "CUA&SPAA" in out["grid"]
+        assert list(out["grid"]) == [None, "CUA&SPAA"]
 
 
 class TestCli:
@@ -185,6 +214,7 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "N&PAA" in out and "baseline" in out
+        assert "N&SPAA" not in out
 
     def test_invalid_exhibit_rejected(self):
         with pytest.raises(SystemExit):
