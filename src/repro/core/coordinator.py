@@ -120,13 +120,14 @@ class HybridCoordinator:
             need=job.size,
             notice_time=now,
             estimated_arrival=job.estimated_arrival,
-            expiry_time=job.estimated_arrival + self.grace,
             collecting=collecting,
         )
         self.book.grab_free(res, self.ops.usable_free())
         if self.mechanism.notice is NoticeStrategy.COLLECT_UNTIL_PREDICTED:
             self._plan_cup(res, job)
-        self.ops.push_reservation_timeout(res.expiry_time, job.job_id)
+        self.ops.push_reservation_timeout(
+            job.estimated_arrival + self.grace, job.job_id
+        )
         # the new reservation changed the usable-free pool / loanable set
         self.ops.mark_sched_dirty()
 
@@ -185,10 +186,7 @@ class HybridCoordinator:
                     fire = last_ckpt
             pledge = min(still_needed, available)
             self.book.add_planned(
-                res,
-                PlannedPreemption(
-                    victim_job_id=v.job.job_id, fire_time=fire, pledge=pledge
-                ),
+                res, PlannedPreemption(victim_job_id=v.job.job_id, pledge=pledge)
             )
             self.ops.push_planned_preempt(fire, res.od_job_id, v.job.job_id)
             still_needed -= pledge
@@ -209,8 +207,7 @@ class HybridCoordinator:
         if victim is None or victim.state is not JobState.RUNNING:
             # retired from the in-flight window, or no longer running
             return
-        room = res.need - res.held - sum(res.loans.values())
-        if room <= 0:
+        if res.deficit == 0:
             return
         released = self.ops.preempt_running_job(victim_job_id, reason="cup-planned")
         claimed = self.on_job_release(victim_job_id, released, claim_for=od_job_id)
@@ -252,7 +249,6 @@ class HybridCoordinator:
                 need=job.size,
                 notice_time=self.ops.now,
                 estimated_arrival=self.ops.now,
-                expiry_time=float("inf"),
                 collecting=True,
             )
         res.arrived = True
@@ -261,7 +257,7 @@ class HybridCoordinator:
         self.book.cancel_plans(res)
         res.collecting = True
 
-        self._fill_from_free(res)
+        self.book.top_up(res, self.ops.usable_free())
 
         # Reclaim loaned reserved nodes by preempting borrowers (only as
         # many as needed; borrowers whose loans are not needed keep them).
@@ -273,7 +269,7 @@ class HybridCoordinator:
             if self.mechanism.arrival is ArrivalStrategy.SHRINK_PREEMPT:
                 freed = self._try_shrink(job, deficit)
                 if freed:
-                    self._fill_from_free(res)
+                    self.book.top_up(res, self.ops.usable_free())
                 else:
                     self._try_preempt(job, res)
             else:
@@ -285,15 +281,6 @@ class HybridCoordinator:
         # Not satisfiable instantly: the job stays at the front of the
         # queue; its (collecting) reservation keeps soaking up releases.
         return False
-
-    def _fill_from_free(self, res: Reservation) -> None:
-        """Raise ``held`` toward ``need`` from the usable free pool."""
-        usable = self.ops.usable_free()
-        room = res.need - res.held
-        take = min(max(0, usable), max(0, room))
-        if take > 0:
-            res.held += take
-            self.book.total_held += take
 
     def _reclaim_loans(self, res: Reservation) -> None:
         """Preempt backfilled borrowers until the holding covers the need."""
@@ -417,7 +404,7 @@ class HybridCoordinator:
                 self.ops.start_od_job(job)
                 return True
             return False
-        self._fill_from_free(res)
+        self.book.top_up(res, self.ops.usable_free())
         if res.held >= res.need:
             self._launch(job, res)
             return True

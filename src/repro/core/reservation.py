@@ -25,7 +25,7 @@ nodes are assigned to the on-demand job with the earliest advance notice".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.util.errors import InvariantViolation
 
@@ -35,7 +35,6 @@ class PlannedPreemption:
     """One CUP-scheduled preemption of a running job."""
 
     victim_job_id: int
-    fire_time: float
     pledge: int
     cancelled: bool = False
 
@@ -48,14 +47,12 @@ class Reservation:
     need: int
     notice_time: float
     estimated_arrival: float
-    expiry_time: float
     #: CUA-style passive absorption of free nodes (False for CUP)
     collecting: bool = False
     held: int = 0
     loans: Dict[int, int] = field(default_factory=dict)
     earmarks: Dict[int, int] = field(default_factory=dict)
     planned: Dict[int, PlannedPreemption] = field(default_factory=dict)
-    active: bool = True
     arrived: bool = False
 
     @property
@@ -70,16 +67,22 @@ class Reservation:
 
 
 class ReservationBook:
-    """All active reservations, ordered by advance-notice time."""
+    """The live reservations, ordered by advance-notice time.
+
+    A reservation is dropped the moment it is closed, so the book holds
+    only in-flight on-demand jobs.  It is also the only writer of
+    ``held`` and ``total_held`` (:meth:`_hold`).
+    """
 
     def __init__(self) -> None:
         self._by_od: Dict[int, Reservation] = {}
         self.total_held = 0
         self.held_node_seconds = 0.0
         self._last_t = 0.0
-        #: reverse index: running job id -> [(od_job_id, pledge)]
-        self._earmarks_on: Dict[int, List[Tuple[int, int]]] = {}
-        self._planned_on: Dict[int, List[Tuple[int, int]]] = {}
+
+    def __len__(self) -> int:
+        """Number of live reservations."""
+        return len(self._by_od)
 
     # ------------------------------------------------------------------
     def advance(self, t: float) -> None:
@@ -94,25 +97,23 @@ class ReservationBook:
 
     # ------------------------------------------------------------------
     def get(self, od_job_id: int) -> Optional[Reservation]:
-        res = self._by_od.get(od_job_id)
-        return res if res is not None and res.active else None
+        return self._by_od.get(od_job_id)
 
     def active_reservations(self) -> List[Reservation]:
-        """Active reservations in earliest-notice order (priority order)."""
+        """Live reservations in earliest-notice order (priority order)."""
         return sorted(
-            (r for r in self._by_od.values() if r.active),
-            key=lambda r: (r.notice_time, r.od_job_id),
+            self._by_od.values(), key=lambda r: (r.notice_time, r.od_job_id)
         )
 
     def holding_reservations(self) -> List[Reservation]:
-        """Active reservations currently holding nodes (unsorted).
+        """Live reservations currently holding nodes (unsorted).
 
         Used by the simulator's pass skipping to spot *clock-tracking*
         pseudo-blocks (see ``Simulation._has_clock_tracking_block``);
         unlike :meth:`active_reservations` it does not sort, because
         that check runs on every potentially-skippable batch.
         """
-        return [r for r in self._by_od.values() if r.active and r.held > 0]
+        return [r for r in self._by_od.values() if r.held > 0]
 
     def create(
         self,
@@ -120,31 +121,45 @@ class ReservationBook:
         need: int,
         notice_time: float,
         estimated_arrival: float,
-        expiry_time: float,
         collecting: bool,
     ) -> Reservation:
-        if od_job_id in self._by_od and self._by_od[od_job_id].active:
+        if od_job_id in self._by_od:
             raise InvariantViolation(
-                f"on-demand job {od_job_id} already has an active reservation"
+                f"on-demand job {od_job_id} already has a live reservation"
             )
         res = Reservation(
             od_job_id=od_job_id,
             need=need,
             notice_time=notice_time,
             estimated_arrival=estimated_arrival,
-            expiry_time=expiry_time,
             collecting=collecting,
         )
         self._by_od[od_job_id] = res
         return res
 
     # ------------------------------------------------------------------
+    def _hold(self, res: Reservation, nodes: int) -> None:
+        """Change *res*'s holding by *nodes* (negative to release)."""
+        res.held += nodes
+        self.total_held += nodes
+
     def grab_free(self, res: Reservation, usable_free: int) -> int:
         """Move up to ``deficit`` usable free nodes into ``held``."""
         take = min(max(0, usable_free), res.deficit)
         if take > 0:
-            res.held += take
-            self.total_held += take
+            self._hold(res, take)
+        return take
+
+    def top_up(self, res: Reservation, usable_free: int) -> int:
+        """Raise ``held`` toward ``need`` from *usable_free* nodes.
+
+        Unlike :meth:`grab_free` the cap is ``need - held``: loans do
+        not count, because an arrived job can only launch on held nodes
+        (loans it cannot reclaim are forgiven).
+        """
+        take = min(max(0, usable_free), max(0, res.need - res.held))
+        if take > 0:
+            self._hold(res, take)
         return take
 
     def loan_out(self, res: Reservation, borrower_job_id: int, nodes: int) -> None:
@@ -154,15 +169,13 @@ class ReservationBook:
                 f"reservation {res.od_job_id}: cannot loan {nodes} of "
                 f"{res.held} held nodes"
             )
-        res.held -= nodes
-        self.total_held -= nodes
+        self._hold(res, -nodes)
         res.loans[borrower_job_id] = res.loans.get(borrower_job_id, 0) + nodes
 
     def add_earmark(self, res: Reservation, job_id: int, pledge: int) -> None:
         if pledge <= 0:
             raise InvariantViolation("earmark pledge must be positive")
         res.earmarks[job_id] = res.earmarks.get(job_id, 0) + pledge
-        self._earmarks_on.setdefault(job_id, []).append((res.od_job_id, pledge))
 
     def add_planned(self, res: Reservation, plan: PlannedPreemption) -> None:
         if plan.victim_job_id in res.planned:
@@ -171,34 +184,24 @@ class ReservationBook:
                 f"job {plan.victim_job_id}"
             )
         res.planned[plan.victim_job_id] = plan
-        self._planned_on.setdefault(plan.victim_job_id, []).append(
-            (res.od_job_id, plan.pledge)
-        )
 
     def pledged_on(self, job_id: int) -> int:
-        """Total nodes active reservations already expect from *job_id*.
+        """Total nodes live reservations already expect from *job_id*.
 
-        Counts live earmarks plus non-cancelled planned preemptions; used
-        by CUP planning so two reservations never pledge the same nodes.
+        Counts earmarks plus non-cancelled planned preemptions; used by
+        CUP planning so two reservations never pledge the same nodes.
         """
         total = 0
-        for od_id in {o for o, _ in self._earmarks_on.get(job_id, ())}:
-            res = self.get(od_id)
-            if res is not None:
-                total += res.earmarks.get(job_id, 0)
-        for od_id in {o for o, _ in self._planned_on.get(job_id, ())}:
-            res = self.get(od_id)
-            if res is not None:
-                plan = res.planned.get(job_id)
-                if plan is not None and not plan.cancelled:
-                    total += plan.pledge
+        for r in self._by_od.values():
+            total += r.earmarks.get(job_id, 0)
+            plan = r.planned.get(job_id)
+            if plan is not None and not plan.cancelled:
+                total += plan.pledge
         return total
 
     def loans_on(self, job_id: int) -> int:
         """Total reserved nodes *job_id* is currently borrowing."""
-        return sum(
-            r.loans.get(job_id, 0) for r in self._by_od.values() if r.active
-        )
+        return sum(r.loans.get(job_id, 0) for r in self._by_od.values())
 
     # ------------------------------------------------------------------
     def on_job_release(
@@ -218,9 +221,11 @@ class ReservationBook:
         Returns the number of nodes the *claim_for* reservation captured.
         """
         remaining = released
+        # the claim below moves nodes but opens or closes no reservation
+        live = self.active_reservations()
 
         # (1) loans return to held (they were already "secured").
-        for res in self.active_reservations():
+        for res in live:
             loan = res.loans.pop(job_id, 0)
             if loan > 0:
                 if loan > remaining:
@@ -228,8 +233,7 @@ class ReservationBook:
                         f"job {job_id} released {released} nodes but owes "
                         f"{loan} loaned nodes to reservation {res.od_job_id}"
                     )
-                res.held += loan
-                self.total_held += loan
+                self._hold(res, loan)
                 remaining -= loan
 
         # (2) targeted claim for the on-demand job we preempted for.
@@ -239,22 +243,18 @@ class ReservationBook:
             if res is not None:
                 claimed = min(res.deficit, remaining)
                 if claimed > 0:
-                    res.held += claimed
-                    self.total_held += claimed
+                    self._hold(res, claimed)
                     remaining -= claimed
 
         # (3) CUP earmarks on this job, earliest notice first.
-        if job_id in self._earmarks_on:
-            for res in self.active_reservations():
-                pledge = res.earmarks.pop(job_id, 0)
-                if pledge <= 0 or remaining <= 0:
-                    continue
-                take = min(pledge, res.deficit, remaining)
-                if take > 0:
-                    res.held += take
-                    self.total_held += take
-                    remaining -= take
-            self._earmarks_on.pop(job_id, None)
+        for res in live:
+            pledge = res.earmarks.pop(job_id, 0)
+            if pledge <= 0 or remaining <= 0:
+                continue
+            take = min(pledge, res.deficit, remaining)
+            if take > 0:
+                self._hold(res, take)
+                remaining -= take
         return claimed
 
     def absorb_free(self, usable_free: int) -> int:
@@ -273,8 +273,7 @@ class ReservationBook:
                 continue
             take = min(res.deficit, budget)
             if take > 0:
-                res.held += take
-                self.total_held += take
+                self._hold(res, take)
                 budget -= take
                 absorbed += take
             if budget == 0:
@@ -286,24 +285,21 @@ class ReservationBook:
         """Cancel pending planned preemptions and drop earmarks."""
         for plan in res.planned.values():
             plan.cancelled = True
-        for job_id in list(res.earmarks):
-            del res.earmarks[job_id]
+        res.earmarks.clear()
 
     def deactivate(self, od_job_id: int) -> int:
-        """Close a reservation; its held nodes melt back into plain free.
+        """Drop a reservation; its held nodes melt back into plain free.
 
-        Returns the number of nodes that were held.  Loans simply become
-        ordinary allocations of the borrowers; pending plans are cancelled.
+        Returns the number of nodes that were held.  Its loans become
+        ordinary allocations of the borrowers, and its pending plans and
+        earmarks go with it (a planned preemption finds no reservation
+        and does not fire).
         """
-        res = self._by_od.get(od_job_id)
-        if res is None or not res.active:
+        res = self._by_od.pop(od_job_id, None)
+        if res is None:
             return 0
-        self.cancel_plans(res)
         held = res.held
-        res.held = 0
-        self.total_held -= held
-        res.loans.clear()
-        res.active = False
+        self._hold(res, -held)
         return held
 
     # ------------------------------------------------------------------
@@ -311,8 +307,6 @@ class ReservationBook:
         """Consistency checks (used by tests and debug runs)."""
         total = 0
         for res in self._by_od.values():
-            if not res.active:
-                continue
             if res.held < 0:
                 raise InvariantViolation(
                     f"reservation {res.od_job_id}: negative held {res.held}"

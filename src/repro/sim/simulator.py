@@ -36,6 +36,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 from repro.core.coordinator import HybridCoordinator
 from repro.obs import get_obs
 from repro.core.mechanisms import Mechanism
+from repro.core.reservation import Reservation
 from repro.jobs.job import Job, JobState, JobType, NoticeClass
 from repro.jobs.malleable_exec import MalleableExecution
 from repro.jobs.rigid_exec import RigidExecution, RigidTimeline
@@ -895,15 +896,15 @@ class Simulation:
         )
         return tl.wall_for_work(est_total)
 
-    def _reservation_blocks(self) -> List:
+    def _reservation_blocks(self, reservations: List[Reservation]) -> List:
         """Reservation pseudo-blocks: held nodes release when the owning
         on-demand job is predicted to finish.  Recomputed per pass (the
         release time of an *arrived* reservation tracks ``now``) into a
-        single reused list; active reservations are few, so this overlay
+        single reused list; live reservations are few, so this overlay
         stays cheap."""
         blocks = self._resv_overlay
         blocks.clear()
-        for r in self.coordinator.book.active_reservations():
+        for r in reservations:
             if r.held <= 0:
                 continue
             od = self.jobs_by_id[r.od_job_id]
@@ -920,9 +921,11 @@ class Simulation:
             blocks.append((max(release, self.now + 2 * EPS), r.held))
         return blocks
 
-    def _availability_view(self, usable: int) -> ProfileView:
+    def _availability_view(
+        self, usable: int, reservations: List[Reservation]
+    ) -> ProfileView:
         """This instant's planner-facing availability profile."""
-        overlay = self._reservation_blocks()
+        overlay = self._reservation_blocks(reservations)
         if not self._track_timeline:
             # seed behaviour: re-derive every block from the running set
             blocks = [
@@ -1014,9 +1017,10 @@ class Simulation:
         if not self.queue:
             return
         usable = self.usable_free()
+        reservations = book.active_reservations()
         loanable = [
             (r.od_job_id, r.held)
-            for r in book.active_reservations()
+            for r in reservations
             if not r.arrived and r.held > 0
         ]
         if usable <= 0 and not loanable:
@@ -1025,7 +1029,7 @@ class Simulation:
             self.queue, self.now, prioritize_ondemand=self.mechanism is not None
         )
         decisions = self.planner.plan(
-            profile=self._availability_view(usable),
+            profile=self._availability_view(usable, reservations),
             ordered_queue=ordered,
             loanable=loanable,
             predict_wall=self._predict_wall,

@@ -280,9 +280,10 @@ class TestArrival:
         ops.jobs = {2: stayer}
         job = od_job(size=50)
         coord.on_advance_notice(job)
+        res = coord.book.get(100)
+        assert res.planned
         ops._now = 2000.0  # arrives early
         coord.on_od_arrival(job)
-        res = coord.book._by_od[100]
         assert all(p.cancelled for p in res.planned.values())
         # the cancelled plan must not fire afterwards
         before = list(ops.preempted)

@@ -185,7 +185,6 @@ def test_no_time_skip_with_clock_tracking_reservation_block():
         need=8,
         notice_time=0.0,
         estimated_arrival=sim.now + 10_000.0,
-        expiry_time=float("inf"),
         collecting=True,
     )
     res.held = 4

@@ -12,7 +12,6 @@ def make_res(book, od_id=100, need=50, notice=0.0, arrival=1800.0, collecting=Tr
         need=need,
         notice_time=notice,
         estimated_arrival=arrival,
-        expiry_time=arrival + 600.0,
         collecting=collecting,
     )
 
@@ -38,11 +37,26 @@ class TestHoldings:
         with pytest.raises(InvariantViolation):
             make_res(book, od_id=7)
 
-    def test_recreate_after_deactivate(self):
+    @pytest.mark.parametrize("kind", ["earmark", "plan", "loan"])
+    def test_recreate_after_deactivate(self, kind):
         book = ReservationBook()
-        make_res(book, od_id=7)
+        old = make_res(book, od_id=7)
+        book.grab_free(old, 30)
+        if kind == "earmark":
+            book.add_earmark(old, 5, 10)
+        elif kind == "plan":
+            book.add_planned(old, PlannedPreemption(victim_job_id=5, pledge=10))
+        else:
+            book.loan_out(old, 5, 10)
         book.deactivate(7)
-        make_res(book, od_id=7)  # allowed
+        assert len(book) == 0
+        assert book.pledged_on(5) == 0
+        assert book.loans_on(5) == 0
+        res = make_res(book, od_id=7)  # allowed
+        assert res.earmarks == {} and res.planned == {} and res.loans == {}
+        assert res.held == 0
+        assert book.pledged_on(5) == 0
+        assert book.loans_on(5) == 0
 
     def test_deactivate_returns_held(self):
         book = ReservationBook()
@@ -84,6 +98,23 @@ class TestLoans:
         book.loan_out(res, 5, 20)
         with pytest.raises(InvariantViolation):
             book.on_job_release(5, 10)
+
+    def test_top_up_ignores_loans_grab_free_counts_them(self):
+        book = ReservationBook()
+        res = make_res(book, need=50)
+        book.grab_free(res, 30)
+        book.loan_out(res, 5, 20)
+        assert (res.held, res.secured) == (10, 30)
+        # grab_free caps at the deficit (need - held - loans) ...
+        assert book.grab_free(res, 100) == 20
+        assert res.held == 30
+        # ... top_up at need - held: a loan it cannot reclaim is forgiven
+        other = make_res(book, od_id=101, need=50, notice=1.0)
+        book.grab_free(other, 30)
+        book.loan_out(other, 6, 20)
+        assert book.top_up(other, 100) == 40
+        assert other.held == 50
+        assert book.total_held == 80
 
     def test_loans_on(self):
         book = ReservationBook()
@@ -139,6 +170,22 @@ class TestEarmarks:
         book.on_job_release(5, 60)
         assert res.held == 50  # only 20 taken despite a 40 pledge
 
+    def test_release_without_earmarks_leaves_reservations_unchanged(self):
+        book = ReservationBook()
+        r1 = make_res(book, od_id=1, need=50, collecting=False)
+        r2 = make_res(book, od_id=2, need=50, notice=1.0, collecting=False)
+        book.grab_free(r1, 10)
+        book.add_earmark(r1, 5, 20)
+        book.add_earmark(r2, 6, 30)
+        book.add_planned(r2, PlannedPreemption(victim_job_id=7, pledge=5))
+        before = [(r.held, dict(r.loans), dict(r.earmarks), dict(r.planned))
+                  for r in (r1, r2)]
+        assert book.on_job_release(9, 40) == 0
+        after = [(r.held, dict(r.loans), dict(r.earmarks), dict(r.planned))
+                 for r in (r1, r2)]
+        assert after == before
+        assert book.total_held == 10
+
     def test_earmark_priority_by_notice_time(self):
         book = ReservationBook()
         late = make_res(book, od_id=2, need=50, notice=10.0, collecting=False)
@@ -149,23 +196,27 @@ class TestEarmarks:
         assert early.held == 50
         assert late.held == 10
 
-    def test_pledged_on_counts_earmarks_and_plans(self):
+    @pytest.mark.parametrize("close", ["cancel_plans", "deactivate"])
+    def test_pledged_on_counts_earmarks_and_plans(self, close):
         book = ReservationBook()
         res = make_res(book, collecting=False)
         book.add_earmark(res, 5, 10)
-        book.add_planned(res, PlannedPreemption(victim_job_id=6, fire_time=100.0, pledge=20))
+        book.add_planned(res, PlannedPreemption(victim_job_id=6, pledge=20))
         assert book.pledged_on(5) == 10
         assert book.pledged_on(6) == 20
-        book.cancel_plans(res)
+        if close == "cancel_plans":
+            book.cancel_plans(res)
+        else:
+            book.deactivate(res.od_job_id)
         assert book.pledged_on(5) == 0
         assert book.pledged_on(6) == 0
 
     def test_duplicate_plan_rejected(self):
         book = ReservationBook()
         res = make_res(book)
-        book.add_planned(res, PlannedPreemption(6, 100.0, 20))
+        book.add_planned(res, PlannedPreemption(6, 20))
         with pytest.raises(InvariantViolation):
-            book.add_planned(res, PlannedPreemption(6, 200.0, 10))
+            book.add_planned(res, PlannedPreemption(6, 10))
 
 
 class TestAbsorb:

@@ -27,6 +27,7 @@ import random
 import pytest
 
 from repro.core.mechanisms import ALL_MECHANISMS
+from repro.core.reservation import ReservationBook
 from repro.jobs.job import JobType
 from repro.sched.registry import policy_names
 from repro.metrics.breakdown import utilization_series
@@ -166,6 +167,35 @@ def test_streamed_matches_materialized_every_policy(policy):
     assert st.jobs == []
     check(f"sim/policy/{policy}", sim_view(listed))
     check(f"sim/policy/{policy}", sim_view(st))
+
+
+@pytest.mark.parametrize("backfill_mode", ["easy", "conservative"])
+@pytest.mark.parametrize("mechanism", ALL_MECHANISMS, ids=str)
+def test_streamed_run_keeps_no_closed_reservation(
+    mechanism, backfill_mode, monkeypatch
+):
+    """The reservation book holds only in-flight on-demand jobs: once
+    a streamed run drains, every reservation it opened is gone and no
+    node is still held."""
+    opened = []
+    create = ReservationBook.create
+
+    def counting_create(book, od_job_id, *args, **kwargs):
+        opened.append(od_job_id)
+        return create(book, od_job_id, *args, **kwargs)
+
+    monkeypatch.setattr(ReservationBook, "create", counting_create)
+    spec = theta_spec(days=2, target_load=0.85)
+    sim = Simulation(
+        ThetaWorkloadGenerator(spec, seed=9).iter_jobs(),
+        SimConfig(system_size=spec.system_size, backfill_mode=backfill_mode),
+        mechanism,
+    )
+    sim.run()
+    book = sim.coordinator.book
+    assert opened
+    assert len(book) == 0
+    assert book.total_held == 0
 
 
 def test_any_iterable_is_accepted_as_a_stream():
