@@ -49,7 +49,6 @@ from repro.campaign.store import CellRecord, ResultStore
 from repro.experiments.runner import run_one
 from repro.jobs.job import JobType
 from repro.obs import enabled_obs, get_obs
-from repro.sim.simulator import process_scratch
 from repro.util.timeconst import WEEK
 from repro.workload.ondemand import burstiness_cv
 from repro.workload.spec import WorkloadSpec
@@ -181,7 +180,6 @@ def execute_cell(
                     cell.sim_config(),
                     jobs=_cell_stream(cell, wspec),
                     log_path=log_path,
-                    scratch=process_scratch(),
                 )
                 payload, summary = None, metrics.to_dict()
     except Exception:
@@ -215,8 +213,7 @@ def execute_cells(
     (:func:`execute_cell` never raises) and the caller still persists
     and reports each record individually.  The whole batch runs under a
     ``campaign.batch`` span, and — because the batch shares this
-    process's trace cache and simulation scratch — its cells amortize
-    parsing and buffer allocation.
+    process's trace cache — its cells amortize trace parsing.
     """
     with get_obs().span("campaign.batch", n_cells=len(configs)):
         return [execute_cell(c, log_dir=log_dir) for c in configs]

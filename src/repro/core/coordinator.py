@@ -24,7 +24,7 @@ Observation 10 ("less than 10 milliseconds to make a decision").
 from __future__ import annotations
 
 import time as _time
-from typing import TYPE_CHECKING, List, Optional, Protocol
+from typing import List, Optional, Protocol
 
 from repro.core.ledger import Lease, LeaseKind, LenderLedger
 from repro.core.mechanisms import ArrivalStrategy, Mechanism, NoticeStrategy
@@ -34,12 +34,14 @@ from repro.core.shrink import ShrinkCandidate, plan_even_shrink
 from repro.jobs.job import Job, JobState
 from repro.util.errors import InvariantViolation
 
-if TYPE_CHECKING:  # pragma: no cover
-    pass
-
 
 class RunningView(Protocol):
-    """What the coordinator needs to know about one running job."""
+    """What the coordinator needs to know about one running job.
+
+    The simulator hands over the job's execution itself
+    (:data:`repro.jobs.Execution`); ``last_checkpoint_completion_at_or_before``
+    is ``None`` for jobs that never checkpoint.
+    """
 
     job: Job
     nodes: int
@@ -47,6 +49,10 @@ class RunningView(Protocol):
     def predicted_finish(self) -> float: ...
 
     def preemption_loss(self, t: float) -> float: ...
+
+    def last_checkpoint_completion_at_or_before(
+        self, t: float
+    ) -> Optional[float]: ...
 
 
 class SimulatorOps(Protocol):
@@ -95,8 +101,6 @@ class HybridCoordinator:
         #: wall-clock seconds spent deciding each on-demand arrival
         self.decision_latencies: List[float] = []
         #: counts for reporting
-        self.instant_starts = 0
-        self.deferred_starts = 0
         self.lease_resumes = 0
         self.lease_expands = 0
 
@@ -180,10 +184,9 @@ class HybridCoordinator:
             if available <= 0:
                 continue
             fire = arrival
-            if v.job.is_rigid:
-                last_ckpt = v.last_checkpoint_completion_at_or_before(arrival)  # type: ignore[attr-defined]
-                if last_ckpt is not None and last_ckpt >= now:
-                    fire = last_ckpt
+            last_ckpt = v.last_checkpoint_completion_at_or_before(arrival)
+            if last_ckpt is not None and last_ckpt >= now:
+                fire = last_ckpt
             pledge = min(still_needed, available)
             self.book.add_planned(
                 res, PlannedPreemption(victim_job_id=v.job.job_id, pledge=pledge)

@@ -26,7 +26,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.jobs.job import Job
 from repro.metrics.summary import SummaryMetrics, average_summaries, summarize
 from repro.sim.config import SimConfig
-from repro.sim.simulator import Simulation, SimScratch
+from repro.sim.simulator import Simulation
 from repro.workload.spec import WorkloadSpec
 from repro.workload.theta import stream_jobs_from_rows
 from repro.workload.trace_cache import get_trace_cache
@@ -43,7 +43,6 @@ def run_one(
     sim: Optional[SimConfig] = None,
     jobs: Optional[Iterable[Job]] = None,
     log_path: Optional[str] = None,
-    scratch: Optional[SimScratch] = None,
 ) -> SummaryMetrics:
     """Simulate a trace under one mechanism and summarise the run.
 
@@ -57,10 +56,6 @@ def run_one(
     :class:`~repro.workload.stream.JobStream`, a job list, or any other
     submit-ordered iterator.
 
-    *scratch* lets a worker reuse one set of simulation hot-path
-    buffers across calls (see
-    :func:`~repro.sim.simulator.process_scratch`).
-
     *log_path* turns on decision logging for this run and writes the
     log as JSONL there (``--log-decisions``); it is deliberately an
     out-of-band side channel so it never perturbs the summary or any
@@ -72,7 +67,7 @@ def run_one(
     if jobs is None:
         rows = get_trace_cache().theta_rows(spec, seed)
         jobs = stream_jobs_from_rows(spec, rows)
-    result = Simulation(jobs, sim, mechanism, scratch=scratch).run()
+    result = Simulation(jobs, sim, mechanism).run()
     if log_path is not None and result.log is not None:
         result.log.write_jsonl(log_path)
     return summarize(result)

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, InvariantViolation
 
 
 class JobType(enum.Enum):
@@ -65,6 +65,36 @@ _TRANSITIONS = {
     JobState.RUNNING: {JobState.QUEUED, JobState.COMPLETED},
     JobState.COMPLETED: set(),
 }
+
+
+@dataclass(frozen=True)
+class SegmentAccounting:
+    """Node-second decomposition of one closed running segment.
+
+    ``allocated == setup + compute + checkpoint`` and
+    ``compute == retained + lost`` (all in node-seconds).  Both execution
+    models return one from ``preempt``/``complete``; a malleable segment
+    never checkpoints and never loses compute.
+    """
+
+    allocated: float
+    setup: float
+    compute: float
+    checkpoint: float
+    retained: float
+    lost: float
+
+    def validate(self) -> None:
+        if abs(self.allocated - (self.setup + self.compute + self.checkpoint)) > 1e-3:
+            raise InvariantViolation(
+                f"segment accounting mismatch: alloc={self.allocated} "
+                f"setup={self.setup} compute={self.compute} ckpt={self.checkpoint}"
+            )
+        if abs(self.compute - (self.retained + self.lost)) > 1e-3:
+            raise InvariantViolation(
+                f"compute split mismatch: compute={self.compute} "
+                f"retained={self.retained} lost={self.lost}"
+            )
 
 
 @dataclass

@@ -12,35 +12,16 @@ remaining *work* in node-seconds; on ``n`` nodes it drains at rate ``n``.
   across preemption (a job preempted mid-setup restarts setup).
 
 The object lives for the job's whole life; node-second accounting is
-integrated exactly across resize points.
+integrated exactly across resize points.  It shares its surface with
+:class:`~repro.jobs.rigid_exec.RigidExecution`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.jobs.job import Job
+from repro.jobs.job import Job, SegmentAccounting
 from repro.util.errors import InvariantViolation
 
 EPS = 1e-6
-
-
-@dataclass
-class MalleableAccounting:
-    """Node-second decomposition of a closed malleable segment."""
-
-    wall: float
-    allocated: float
-    setup: float
-    compute: float  # == retained; malleable jobs never lose compute
-    lost_setup: float  # partial setup thrown away by a mid-setup preemption
-
-    def validate(self) -> None:
-        if abs(self.allocated - (self.setup + self.compute)) > 1e-3:
-            raise InvariantViolation(
-                f"malleable accounting mismatch: alloc={self.allocated} "
-                f"setup={self.setup} compute={self.compute}"
-            )
 
 
 class MalleableExecution:
@@ -51,6 +32,7 @@ class MalleableExecution:
         "work_remaining",
         "nodes",
         "setup_remaining",
+        "segment_start",
         "_last_update",
         "_seg_alloc",
         "_seg_setup",
@@ -66,6 +48,9 @@ class MalleableExecution:
         self.work_remaining = job.work_node_seconds
         self.nodes = 0
         self.setup_remaining = 0.0
+        #: wall time the current (or last) segment began; None before
+        #: the first start
+        self.segment_start: float | None = None
         self._last_update = 0.0
         self._seg_alloc = 0.0
         self._seg_setup = 0.0
@@ -73,10 +58,6 @@ class MalleableExecution:
         self._running = False
 
     # ------------------------------------------------------------------
-    @property
-    def running(self) -> bool:
-        return self._running
-
     def start_segment(self, t: float, nodes: int) -> None:
         """Begin a (re)start on *nodes* nodes at wall time *t*."""
         if self._running:
@@ -90,6 +71,7 @@ class MalleableExecution:
             )
         self.nodes = nodes
         self.setup_remaining = self.job.setup_time
+        self.segment_start = t
         self._last_update = t
         self._seg_alloc = 0.0
         self._seg_setup = 0.0
@@ -97,12 +79,18 @@ class MalleableExecution:
         self._running = True
 
     def _advance(self, t: float) -> None:
-        """Integrate setup/work consumption from the last update to *t*."""
+        """Integrate setup/work consumption from the last update to *t*.
+
+        A segment may start in the future (a failure restart delay); time
+        before its start accrues nothing.
+        """
         if t < self._last_update - EPS:
-            raise InvariantViolation(
-                f"job {self.job.job_id}: time moved backwards "
-                f"({self._last_update} -> {t})"
-            )
+            if self._last_update > self.segment_start:
+                raise InvariantViolation(
+                    f"job {self.job.job_id}: time moved backwards "
+                    f"({self._last_update} -> {t})"
+                )
+            return  # the segment has not begun yet
         dt = max(0.0, t - self._last_update)
         if dt == 0.0:
             self._last_update = t
@@ -173,6 +161,19 @@ class MalleableExecution:
             + (self.work_remaining + pad) / self.nodes
         )
 
+    def predict_wall(self, nodes: int) -> float:
+        """Estimated wall duration of a (re)start now on *nodes* nodes.
+
+        A job that never ran predicts from its submitted estimate; a
+        resumed one from its remaining work plus the estimate's padding.
+        """
+        job = self.job
+        if self.segment_start is None:
+            work = job.estimate_node_seconds
+        else:
+            work = self.work_remaining + (job.estimate - job.runtime) * job.size
+        return job.setup_time + work / nodes
+
     def preemption_loss(self, t: float) -> float:
         """Node-seconds wasted by preempting at *t* (victim-ordering key).
 
@@ -187,40 +188,37 @@ class MalleableExecution:
         extra = min(max(0.0, t - self._last_update), self.setup_remaining)
         return (spent_setup + extra + self.job.setup_time) * self.nodes
 
-    def shrinkable_nodes(self) -> int:
-        """How many nodes this job can give up right now (SPAA supply)."""
-        if not self._running:
-            return 0
-        return max(0, self.nodes - self.job.smallest_size)
+    def last_checkpoint_completion_at_or_before(self, t: float) -> None:
+        """Malleable jobs never checkpoint."""
+        return None
 
     # ------------------------------------------------------------------
-    def preempt(self, t: float) -> MalleableAccounting:
+    def _close(self) -> SegmentAccounting:
+        compute = self._seg_compute
+        acc = SegmentAccounting(
+            allocated=self._seg_alloc,
+            setup=self._seg_setup,
+            compute=compute,
+            checkpoint=0.0,
+            retained=compute,
+            lost=0.0,
+        )
+        acc.validate()
+        self._running = False
+        return acc
+
+    def preempt(self, t: float) -> SegmentAccounting:
         """Close the current segment by preemption at time *t*.
 
-        Work is conserved; partial setup is thrown away (and reported as
-        ``lost_setup`` so the waste accounting can charge it).
+        Work is conserved; a partial setup is thrown away (the next
+        segment pays setup in full again).
         """
         if not self._running:
             raise InvariantViolation(f"job {self.job.job_id} is not running")
         self._advance(t)
-        lost_setup = 0.0
-        if self.setup_remaining > EPS:
-            # Mid-setup preemption: everything spent on setup is wasted.
-            lost_setup = self._seg_setup
-        acc = MalleableAccounting(
-            wall=0.0,  # wall is derivable but unused; kept for symmetry
-            allocated=self._seg_alloc,
-            setup=self._seg_setup,
-            compute=self._seg_compute,
-            lost_setup=lost_setup,
-        )
-        acc.validate()
-        self._running = False
-        self.nodes = 0
-        self.setup_remaining = 0.0
-        return acc
+        return self._close()
 
-    def complete(self, t: float) -> MalleableAccounting:
+    def complete(self, t: float) -> SegmentAccounting:
         """Close the segment by natural completion at time *t*."""
         if not self._running:
             raise InvariantViolation(f"job {self.job.job_id} is not running")
@@ -235,13 +233,4 @@ class MalleableExecution:
                 f"job {self.job.job_id}: completing with "
                 f"{self.work_remaining:.3f} node-seconds outstanding"
             )
-        acc = MalleableAccounting(
-            wall=0.0,
-            allocated=self._seg_alloc,
-            setup=self._seg_setup,
-            compute=self._seg_compute,
-            lost_setup=0.0,
-        )
-        acc.validate()
-        self._running = False
-        return acc
+        return self._close()

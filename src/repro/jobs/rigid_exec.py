@@ -22,42 +22,12 @@ Two classes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from repro.jobs.job import Job
+from repro.jobs.job import Job, SegmentAccounting
 from repro.util.errors import InvariantViolation
 
 #: Absolute slack for floating-point time comparisons.
 EPS = 1e-6
-
-
-@dataclass(frozen=True)
-class SegmentAccounting:
-    """Node-second decomposition of one closed segment.
-
-    ``allocated == setup + compute + checkpoint`` and
-    ``compute == retained + lost`` (all in node-seconds).
-    """
-
-    wall: float
-    allocated: float
-    setup: float
-    compute: float
-    checkpoint: float
-    retained: float
-    lost: float
-
-    def validate(self) -> None:
-        if abs(self.allocated - (self.setup + self.compute + self.checkpoint)) > 1e-3:
-            raise InvariantViolation(
-                f"segment accounting mismatch: alloc={self.allocated} "
-                f"setup={self.setup} compute={self.compute} ckpt={self.checkpoint}"
-            )
-        if abs(self.compute - (self.retained + self.lost)) > 1e-3:
-            raise InvariantViolation(
-                f"compute split mismatch: compute={self.compute} "
-                f"retained={self.retained} lost={self.lost}"
-            )
 
 
 class RigidTimeline:
@@ -237,7 +207,6 @@ class RigidTimeline:
         retained_delta = self.retained_at(end) - self.base_work
         lost = progress - retained_delta
         acc = SegmentAccounting(
-            wall=wall,
             allocated=wall * nodes,
             setup=setup_spent * nodes,
             compute=progress * nodes,
@@ -255,10 +224,19 @@ class RigidExecution:
     One instance lives for the job's whole life and strings running
     segments together across preemptions.  On-demand jobs reuse this class
     with checkpointing disabled and zero setup — they are never preempted,
-    so the rollback machinery is simply never exercised.
+    so the rollback machinery is simply never exercised.  Shares its
+    surface with :class:`~repro.jobs.malleable_exec.MalleableExecution`.
     """
 
-    __slots__ = ("job", "nodes", "interval", "cost", "completed_work", "timeline")
+    __slots__ = (
+        "job",
+        "nodes",
+        "interval",
+        "cost",
+        "completed_work",
+        "timeline",
+        "segment_start",
+    )
 
     def __init__(self, job: Job, interval: float, cost: float) -> None:
         self.job = job
@@ -268,16 +246,20 @@ class RigidExecution:
         #: compute-seconds retained across segments (checkpoint offset)
         self.completed_work = 0.0
         self.timeline: RigidTimeline | None = None
+        #: wall time the current (or last) segment began; None before
+        #: the first start
+        self.segment_start: float | None = None
 
-    @property
-    def running(self) -> bool:
-        return self.timeline is not None
-
-    def start_segment(self, t: float) -> None:
-        """Begin a (re)start at wall time *t* from the retained offset."""
+    def start_segment(self, t: float, nodes: int) -> None:
+        """Begin a (re)start on *nodes* (the full size) at wall time *t*."""
         if self.timeline is not None:
             raise InvariantViolation(
                 f"job {self.job.job_id}: start_segment while already running"
+            )
+        if nodes != self.job.size:
+            raise InvariantViolation(
+                f"{self.job.job_type.value} job {self.job.job_id} started on "
+                f"{nodes} != {self.job.size} nodes"
             )
         self.timeline = RigidTimeline(
             start=t,
@@ -287,6 +269,7 @@ class RigidExecution:
             interval=self.interval,
             cost=self.cost,
         )
+        self.segment_start = t
 
     def finish_time(self) -> float:
         """Wall time the current segment completes the job."""
@@ -301,6 +284,22 @@ class RigidExecution:
         est_work = max(self.job.estimate, self.timeline.base_work + EPS)
         return self.timeline.start + self.timeline.wall_for_work(est_work)
 
+    def predict_wall(self, nodes: int) -> float:
+        """Estimated wall duration of a (re)start now, checkpoints included.
+
+        A rigid job only ever runs at its full size, so *nodes* is moot.
+        """
+        est_work = max(self.job.estimate, self.completed_work + EPS)
+        tl = RigidTimeline(
+            start=0.0,
+            setup=self.job.setup_time,
+            base_work=self.completed_work,
+            total_work=est_work,
+            interval=self.interval,
+            cost=self.cost,
+        )
+        return tl.wall_for_work(est_work)
+
     def preemption_loss(self, t: float) -> float:
         """Node-seconds that would be wasted by preempting at time *t*.
 
@@ -313,11 +312,6 @@ class RigidExecution:
         tl = self.timeline
         lost = tl.progress_at(t) - (tl.retained_at(t) - tl.base_work)
         return (lost + self.job.setup_time) * self.nodes
-
-    def next_checkpoint_completion_after(self, t: float) -> float | None:
-        if self.timeline is None:
-            return None
-        return self.timeline.next_checkpoint_completion_after(t)
 
     def last_checkpoint_completion_at_or_before(self, t: float) -> float | None:
         if self.timeline is None:

@@ -275,7 +275,7 @@ def make_campaign_throughput(params: Mapping[str, Any]) -> Scenario:
     dominate, per the task-runtime characterization literature.  Params:
     ``n_cells`` (default 63), ``days`` (default 0.25), ``system_size``
     (default 256), ``load`` (default 0.6), ``workers`` (default 1:
-    serial, so the measurement is cache + streaming + scratch, not
+    serial, so the measurement is cache + streaming, not
     parallelism).
 
     The trace cache is cleared at the start of every rep, so each rep

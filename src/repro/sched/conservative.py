@@ -38,10 +38,6 @@ class ConservativeBackfillPlanner:
     (same ``plan`` signature; the loanable pool is ignored).
     """
 
-    def __init__(self, flexible_malleable: bool = True) -> None:
-        # kept for signature parity; reservations always use max size
-        self.flexible_malleable = flexible_malleable
-
     def plan(
         self,
         profile: ProfileView,

@@ -213,28 +213,6 @@ class ProfileView:
             self._overlay = overlay if overlay is not None else []
         return self
 
-    def rebind(self, timeline: Optional[AvailabilityTimeline]) -> "ProfileView":
-        """Re-point this view at a different simulation's timeline.
-
-        The per-worker scratch (:class:`~repro.sim.simulator.SimScratch`)
-        carries one view across the many simulations a campaign worker
-        executes; each new :class:`~repro.sim.simulator.Simulation`
-        rebinds it to its own freshly built timeline before any pass
-        runs.  Clears the overlay and zeroes the instant — the first
-        ``reset()`` of the run re-seats both.  Not valid on
-        ``from_blocks`` views.
-        """
-        if self._static is not None:
-            raise InvariantViolation(
-                "rebind() on a static-block ProfileView; only "
-                "timeline-backed views are reusable"
-            )
-        self._timeline = timeline
-        self._overlay = []
-        self.now = 0.0
-        self.free = 0
-        return self
-
     # ------------------------------------------------------------------
     def releases(self) -> Iterator[Block]:
         """Future supply steps in ``(release, nodes)`` order."""

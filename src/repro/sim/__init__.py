@@ -6,6 +6,8 @@
   identical nodes (allocation is at node granularity, jobs are exclusive).
 * :mod:`repro.sim.simulator` — the :class:`Simulation` that ties the job
   models, scheduling policy, and hybrid-workload coordinator together.
+  Each running job is tracked by its :data:`repro.jobs.Execution` alone,
+  which the coordinator also reads as the job's running view.
 """
 
 from repro.sim.cluster import Cluster
@@ -13,12 +15,7 @@ from repro.sim.engine import EventQueue
 from repro.sim.events import Event, EventType
 from repro.sim.failures import FailureModel
 from repro.sim.schedlog import LogEntry, LogKind, SchedulerLog
-from repro.sim.simulator import (
-    SimScratch,
-    Simulation,
-    SimulationResult,
-    process_scratch,
-)
+from repro.sim.simulator import Simulation, SimulationResult
 
 __all__ = [
     "Cluster",
@@ -29,8 +26,6 @@ __all__ = [
     "EventQueue",
     "Event",
     "EventType",
-    "SimScratch",
     "Simulation",
     "SimulationResult",
-    "process_scratch",
 ]

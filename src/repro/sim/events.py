@@ -8,8 +8,7 @@ simulations are deterministic regardless of heap insertion order:
 3. ``PLANNED_PREEMPT`` — CUP's scheduled preemptions fire next;
 4. ``ADVANCE_NOTICE`` — on-demand notices;
 5. ``JOB_SUBMIT`` — submissions / on-demand actual arrivals;
-6. ``RESERVATION_TIMEOUT`` — reservation expiry;
-7. ``END_OF_TRACE`` — bookkeeping sentinel.
+6. ``RESERVATION_TIMEOUT`` — reservation expiry.
 
 A single scheduling pass runs after each same-timestamp batch.
 """
@@ -30,7 +29,6 @@ class EventType(enum.IntEnum):
     ADVANCE_NOTICE = 3
     JOB_SUBMIT = 4
     RESERVATION_TIMEOUT = 5
-    END_OF_TRACE = 6
 
 
 @dataclass(frozen=True, order=True)

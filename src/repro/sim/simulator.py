@@ -28,7 +28,6 @@ are identical in both modes.
 from __future__ import annotations
 
 import math
-import threading
 import time as _time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
@@ -37,9 +36,8 @@ from repro.core.coordinator import HybridCoordinator
 from repro.obs import get_obs
 from repro.core.mechanisms import Mechanism
 from repro.core.reservation import Reservation
-from repro.jobs.job import Job, JobState, JobType, NoticeClass
-from repro.jobs.malleable_exec import MalleableExecution
-from repro.jobs.rigid_exec import RigidExecution, RigidTimeline
+from repro.jobs import Execution, MalleableExecution, RigidExecution
+from repro.jobs.job import Job, JobState, NoticeClass, SegmentAccounting
 from repro.metrics.accumulators import SummaryAccumulator
 from repro.sched.conservative import ConservativeBackfillPlanner
 from repro.sched.easy import BackfillPlanner
@@ -56,31 +54,7 @@ from repro.util.errors import ConfigurationError, SimulationError
 from repro.util.rng import RngStreams
 from repro.workload.stream import JobStream, as_stream
 
-Execution = Union[RigidExecution, MalleableExecution]
-
 EPS = 1e-6
-
-
-@dataclass
-class RunningJob:
-    """A running job's simulator-side record (also the coordinator's view)."""
-
-    job: Job
-    execution: Execution
-    nodes: int
-    epoch: int
-    started_at: float
-
-    def predicted_finish(self) -> float:
-        return self.execution.predicted_finish()
-
-    def preemption_loss(self, t: float) -> float:
-        return self.execution.preemption_loss(t)
-
-    def last_checkpoint_completion_at_or_before(self, t: float) -> Optional[float]:
-        if isinstance(self.execution, RigidExecution):
-            return self.execution.last_checkpoint_completion_at_or_before(t)
-        return None
 
 
 @dataclass(frozen=True)
@@ -174,53 +148,6 @@ class SimulationResult:
         return max(self.last_end - self.first_submit, EPS)
 
 
-class SimScratch:
-    """Reusable per-worker simulation scratch buffers.
-
-    A campaign worker runs thousands of short simulations back to back;
-    each one used to allocate its own event-batch list, reservation
-    overlay, and timeline-backed :class:`ProfileView`.  One
-    ``SimScratch`` carries those three across every cell the worker
-    executes: :class:`Simulation` calls :meth:`attach` during
-    construction, which clears the buffers and rebinds the view to the
-    new run's timeline, so no state leaks between cells.  Not
-    thread-safe — one scratch per worker thread
-    (:func:`process_scratch`), and never share one across concurrently
-    running simulations.
-    """
-
-    __slots__ = ("batch", "overlay", "view")
-
-    def __init__(self) -> None:
-        self.batch: List[Event] = []
-        self.overlay: List = []
-        self.view = ProfileView(0.0, 0, timeline=None)
-
-    def attach(self, timeline: AvailabilityTimeline) -> "SimScratch":
-        """Reset the buffers and bind the view to a new run's timeline."""
-        self.batch.clear()
-        self.overlay.clear()
-        self.view.rebind(timeline)
-        return self
-
-
-_SCRATCH_LOCAL = threading.local()
-
-
-def process_scratch() -> SimScratch:
-    """The calling thread's shared :class:`SimScratch` (created lazily).
-
-    Campaign executors and experiment runners pass this to every
-    :class:`Simulation` they construct so a worker's cells reuse one
-    set of hot-path buffers.  Thread-local, so a thread pool gets one
-    scratch per worker thread and a process pool one per process.
-    """
-    scratch = getattr(_SCRATCH_LOCAL, "scratch", None)
-    if scratch is None:
-        scratch = _SCRATCH_LOCAL.scratch = SimScratch()
-    return scratch
-
-
 class Simulation:
     """One trace-driven simulation run.
 
@@ -253,13 +180,6 @@ class Simulation:
         ``None`` to fall back to ``config.policy`` (and to FCFS when
         that is unset too).  A named dispatcher that forces a planner
         ("easy"/"conservative") overrides ``config.backfill_mode``.
-    scratch:
-        Optional :class:`SimScratch` whose hot-path buffers this run
-        adopts instead of allocating its own (campaign workers share
-        one scratch across all their cells; see
-        :func:`process_scratch`).  Reset on attach, so no state leaks
-        from the previous run; must not be shared by concurrently
-        running simulations.
     """
 
     def __init__(
@@ -268,7 +188,6 @@ class Simulation:
         config: Optional[SimConfig] = None,
         mechanism: Optional[Mechanism] = None,
         policy: Union[None, str, SchedulingPolicy] = None,
-        scratch: Optional[SimScratch] = None,
     ) -> None:
         self.config = config or SimConfig()
         self.mechanism = mechanism
@@ -321,9 +240,7 @@ class Simulation:
             self._forced_backfill_mode or self.config.backfill_mode
         )
         if backfill_mode == "conservative":
-            self.planner = ConservativeBackfillPlanner(
-                flexible_malleable=self.config.flexible_malleable
-            )
+            self.planner = ConservativeBackfillPlanner()
         else:
             self.planner = BackfillPlanner(
                 backfill_enabled=self.config.backfill_enabled,
@@ -332,8 +249,12 @@ class Simulation:
                 flexible_malleable=self.config.flexible_malleable,
             )
         self.queue: List[Job] = []
-        self.running: Dict[int, RunningJob] = {}
+        #: the running jobs' executions (also the coordinator's views)
+        self.running: Dict[int, Execution] = {}
+        #: every in-flight job's execution, kept across preemptions
         self._executions: Dict[int, Execution] = {}
+        #: per-job allocation epoch; a finish or failure event drawn for
+        #: an older epoch is stale
         self._epochs: Dict[int, int] = {}
         self._events_processed = 0
         self._schedule_passes = 0
@@ -375,17 +296,9 @@ class Simulation:
         # Hot-path reuse: one batch list, one reservation-overlay list,
         # and one timeline-backed ProfileView serve the whole run, so
         # the per-batch loop allocates nothing for its fixed machinery.
-        # A caller-supplied SimScratch extends the reuse across runs:
-        # campaign workers hand every cell's Simulation the same scratch.
-        if scratch is not None:
-            scratch.attach(self.timeline)
-            self._batch = scratch.batch
-            self._resv_overlay = scratch.overlay
-            self._view = scratch.view
-        else:
-            self._batch = []
-            self._resv_overlay = []
-            self._view = ProfileView(0.0, 0, timeline=self.timeline)
+        self._batch: List[Event] = []
+        self._resv_overlay: List = []
+        self._view = ProfileView(0.0, 0, timeline=self.timeline)
 
     # ------------------------------------------------------------------
     def _validate_job(self, job: Job) -> None:
@@ -514,7 +427,7 @@ class Simulation:
         """Free nodes not held by any reservation."""
         return self.cluster.free - self.coordinator.book.total_held
 
-    def running_views(self) -> List[RunningJob]:
+    def running_views(self) -> List[Execution]:
         return list(self.running.values())
 
     def lookup_job(self, job_id: int) -> Optional[Job]:
@@ -591,23 +504,14 @@ class Simulation:
                     )
                 self.coordinator.book.loan_out(res, job.job_id, k)
         ex = self._execution_for(job)
-        if isinstance(ex, MalleableExecution):
-            ex.start_segment(t, nodes)
-        else:
-            if nodes != job.size:
-                raise SimulationError(
-                    f"{job.job_type.value} job {job.job_id} started on "
-                    f"{nodes} != {job.size} nodes"
-                )
-            ex.start_segment(t)
+        ex.start_segment(t, nodes)
         epoch = self._epochs.get(job.job_id, 0) + 1
         self._epochs[job.job_id] = epoch
-        rj = RunningJob(job=job, execution=ex, nodes=nodes, epoch=epoch, started_at=t)
-        self.running[job.job_id] = rj
+        self.running[job.job_id] = ex
         self._sched_dirty = True
         self._c_dirty["start"].inc()
         if self._track_timeline:
-            self.timeline.set_block(job.job_id, rj.predicted_finish(), nodes)
+            self.timeline.set_block(job.job_id, ex.predicted_finish(), nodes)
             self._c_timeline_upserts.inc()
         job.set_state(JobState.RUNNING)
         if job.stats.first_start is None:
@@ -617,7 +521,7 @@ class Simulation:
         self.equeue.push(
             ex.finish_time(), EventType.JOB_FINISH, job_id=job.job_id, epoch=epoch
         )
-        self._maybe_schedule_failure(rj)
+        self._maybe_schedule_failure(ex)
         self.log.add(
             t,
             LogKind.START,
@@ -634,12 +538,29 @@ class Simulation:
         """Lease-return resume (§III-B.3), bypassing the policy order."""
         self._start_job(job, nodes, None)
 
-    @staticmethod
-    def _record_segment(rj: RunningJob, start: float, end: float, allocated: float) -> None:
+    def _close_segment(
+        self, ex: Execution, acc: SegmentAccounting, interrupted: bool
+    ) -> None:
+        """Merge the segment *ex* just closed into its job's statistics.
+
+        An interrupted (preempted or failed) segment's setup exists only
+        because of the interruption, so all of it is charged as waste;
+        the completing segment's setup is inherent.
+        """
+        st = ex.job.stats
+        start = ex.segment_start
+        end = self.now
         if end > start + EPS:
-            rj.job.stats.segment_records.append(
-                (start, end, allocated / (end - start))
+            st.segment_records.append(
+                (start, end, acc.allocated / (end - start))
             )
+        st.allocated_node_seconds += acc.allocated
+        st.setup_node_seconds += acc.setup
+        if interrupted:
+            st.wasted_setup_node_seconds += acc.setup
+        st.retained_node_seconds += acc.retained
+        st.lost_node_seconds += acc.lost
+        st.checkpoint_node_seconds += acc.checkpoint
 
     def preempt_running_job(self, job_id: int, reason: str) -> int:
         """Preempt a running job; returns the released node count.
@@ -648,111 +569,92 @@ class Simulation:
         released nodes via ``on_job_release`` so targeted claims and loan
         returns happen in the right order.
         """
-        rj = self.running.pop(job_id, None)
-        if rj is None:
+        ex = self.running.pop(job_id, None)
+        if ex is None:
             raise SimulationError(f"preempt of non-running job {job_id}")
         self._sched_dirty = True
         self._c_dirty["preempt"].inc()
         if self._track_timeline:
             self.timeline.remove_block(job_id)
             self._c_timeline_removes.inc()
-        job = rj.job
-        acc = rj.execution.preempt(self.now)
-        self._record_segment(rj, rj.started_at, self.now, acc.allocated)
-        st = job.stats
-        st.allocated_node_seconds += acc.allocated
-        st.setup_node_seconds += acc.setup
-        st.wasted_setup_node_seconds += acc.setup  # preempted segment: all waste
-        st.retained_node_seconds += getattr(acc, "retained", acc.compute)
-        st.lost_node_seconds += getattr(acc, "lost", 0.0)
-        st.checkpoint_node_seconds += getattr(acc, "checkpoint", 0.0)
-        st.preemptions += 1
+        job = ex.job
+        self._close_segment(ex, ex.preempt(self.now), interrupted=True)
+        job.stats.preemptions += 1
         job.set_state(JobState.QUEUED)
         self.queue.append(job)
-        self._epochs[job_id] = self._epochs.get(job_id, 0) + 1
+        self._epochs[job_id] += 1
         released = self.cluster.end_job(job_id)
         self.log.add(
             self.now, LogKind.PREEMPT, job_id, nodes=released, detail=reason
         )
         return released
 
+    def _running_malleable(self, job_id: int, op: str) -> Execution:
+        """The execution of running malleable job *job_id* (for *op*)."""
+        ex = self.running.get(job_id)
+        if ex is None:
+            raise SimulationError(f"{op} of non-running job {job_id}")
+        if not ex.job.is_malleable:
+            raise SimulationError(f"{op} of non-malleable job {job_id}")
+        return ex
+
     def shrink_running_malleable(self, job_id: int, take: int) -> int:
         """Shrink a running malleable job by *take* nodes; returns *take*."""
-        rj = self.running.get(job_id)
-        if rj is None:
-            raise SimulationError(f"shrink of non-running job {job_id}")
-        if not isinstance(rj.execution, MalleableExecution):
-            raise SimulationError(f"shrink of non-malleable job {job_id}")
-        new_nodes = rj.nodes - take
-        rj.execution.resize(self.now, new_nodes)
+        ex = self._running_malleable(job_id, "shrink")
+        new_nodes = ex.nodes - take
+        ex.resize(self.now, new_nodes)
         self.cluster.resize_job(job_id, new_nodes)
-        rj.nodes = new_nodes
-        rj.job.stats.shrinks += 1
-        self._reschedule_finish(rj)
+        ex.job.stats.shrinks += 1
+        self._reschedule_finish(ex)
         self.log.add(self.now, LogKind.SHRINK, job_id, nodes=take)
         return take
 
     def expand_running_malleable(self, job_id: int, give: int) -> int:
         """Expand a running malleable job by up to *give* nodes."""
-        rj = self.running.get(job_id)
-        if rj is None:
-            raise SimulationError(f"expand of non-running job {job_id}")
-        if not isinstance(rj.execution, MalleableExecution):
-            raise SimulationError(f"expand of non-malleable job {job_id}")
-        new_nodes = min(rj.job.max_size, rj.nodes + give)
-        if new_nodes == rj.nodes:
+        ex = self._running_malleable(job_id, "expand")
+        new_nodes = min(ex.job.max_size, ex.nodes + give)
+        if new_nodes == ex.nodes:
             return 0
-        rj.execution.resize(self.now, new_nodes)
+        grown = ex.resize(self.now, new_nodes)
         self.cluster.resize_job(job_id, new_nodes)
-        grown = new_nodes - rj.nodes
-        rj.nodes = new_nodes
-        rj.job.stats.expands += 1
-        self._reschedule_finish(rj)
+        ex.job.stats.expands += 1
+        self._reschedule_finish(ex)
         self.log.add(self.now, LogKind.EXPAND, job_id, nodes=grown)
         return grown
 
-    def _reschedule_finish(self, rj: RunningJob) -> None:
-        rj.epoch += 1
-        self._epochs[rj.job.job_id] = rj.epoch
+    def _reschedule_finish(self, ex: Execution) -> None:
+        job_id = ex.job.job_id
+        epoch = self._epochs[job_id] + 1
+        self._epochs[job_id] = epoch
         self._sched_dirty = True
         self._c_dirty["resize"].inc()
         if self._track_timeline:
-            self.timeline.set_block(
-                rj.job.job_id, rj.predicted_finish(), rj.nodes
-            )
+            self.timeline.set_block(job_id, ex.predicted_finish(), ex.nodes)
             self._c_timeline_upserts.inc()
         self.equeue.push(
-            rj.execution.finish_time(),
-            EventType.JOB_FINISH,
-            job_id=rj.job.job_id,
-            epoch=rj.epoch,
+            ex.finish_time(), EventType.JOB_FINISH, job_id=job_id, epoch=epoch
         )
         # Redraw the failure gap for the new epoch; the exponential is
         # memoryless, so a fresh draw is statistically equivalent.
-        self._maybe_schedule_failure(rj)
+        self._maybe_schedule_failure(ex)
 
-    def _maybe_schedule_failure(self, rj: RunningJob) -> None:
+    def _maybe_schedule_failure(self, ex: Execution) -> None:
         """Arm a failure event for this allocation if injection is on."""
         fm = self.config.failures
         if not fm.enabled:
             return
-        # Anchor the draw at the segment start so a restart delay cannot
-        # produce a failure that precedes the restarted segment.
-        base = self.now
-        ex = rj.execution
-        if isinstance(ex, RigidExecution) and ex.timeline is not None:
-            base = max(base, ex.timeline.start)
-        elif isinstance(ex, MalleableExecution):
-            base = max(base, ex._last_update)
         if self._failure_rng is None:
             self._failure_rng = RngStreams(
                 self.config.failure_seed
             ).get("failures")
-        gap = fm.draw_time_to_failure(rj.nodes, self._failure_rng)
-        at = base + gap
-        if at < rj.execution.finish_time() - EPS:
+        gap = fm.draw_time_to_failure(ex.nodes, self._failure_rng)
+        # Anchor the draw at the segment start so a restart delay cannot
+        # produce a failure that precedes the restarted segment.
+        at = max(self.now, ex.segment_start) + gap
+        if at < ex.finish_time() - EPS:
+            job_id = ex.job.job_id
             self.equeue.push(
-                at, EventType.JOB_FAILURE, job_id=rj.job.job_id, epoch=rj.epoch
+                at, EventType.JOB_FAILURE, job_id=job_id, epoch=self._epochs[job_id]
             )
 
     # ------------------------------------------------------------------
@@ -786,26 +688,19 @@ class Simulation:
             self._retire(job_id)
 
     def _handle_finish(self, job_id: int, epoch: int) -> None:
-        rj = self.running.get(job_id)
-        if rj is None or rj.epoch != epoch:
+        ex = self.running.get(job_id)
+        if ex is None or self._epochs[job_id] != epoch:
             return  # stale event from before a resize/preemption
         self._sched_dirty = True
         self._c_dirty["finish"].inc()
         if self._track_timeline:
             self.timeline.remove_block(job_id)
             self._c_timeline_removes.inc()
-        job = rj.job
-        acc = rj.execution.complete(self.now)
-        self._record_segment(rj, rj.started_at, self.now, acc.allocated)
-        st = job.stats
-        st.allocated_node_seconds += acc.allocated
-        st.setup_node_seconds += acc.setup
-        st.retained_node_seconds += getattr(acc, "retained", acc.compute)
-        st.lost_node_seconds += getattr(acc, "lost", 0.0)
-        st.checkpoint_node_seconds += getattr(acc, "checkpoint", 0.0)
+        job = ex.job
+        self._close_segment(ex, ex.complete(self.now), interrupted=False)
         del self.running[job_id]
         job.set_state(JobState.COMPLETED)
-        st.end_time = self.now
+        job.stats.end_time = self.now
         released = self.cluster.end_job(job_id)
         self.log.add(self.now, LogKind.FINISH, job_id, nodes=released)
         self.metrics.observe_finished(job)
@@ -826,31 +721,18 @@ class Simulation:
         pays a fresh setup and, for rigid jobs, loses the compute after
         its last completed checkpoint.
         """
-        rj = self.running.get(job_id)
-        if rj is None or rj.epoch != epoch:
+        ex = self.running.get(job_id)
+        if ex is None or self._epochs[job_id] != epoch:
             return  # stale: the segment this failure was drawn for is gone
         self._failures_injected += 1
-        job = rj.job
-        acc = rj.execution.preempt(self.now)
-        self._record_segment(rj, rj.started_at, self.now, acc.allocated)
-        st = job.stats
-        st.allocated_node_seconds += acc.allocated
-        st.setup_node_seconds += acc.setup
-        st.wasted_setup_node_seconds += acc.setup
-        st.retained_node_seconds += getattr(acc, "retained", acc.compute)
-        st.lost_node_seconds += getattr(acc, "lost", 0.0)
-        st.checkpoint_node_seconds += getattr(acc, "checkpoint", 0.0)
-        st.failures += 1
-        restart = self.now + self.config.failures.restart_delay_s
-        ex = rj.execution
-        if isinstance(ex, MalleableExecution):
-            ex.start_segment(restart, rj.nodes)
-        else:
-            ex.start_segment(restart)
-        rj.started_at = restart
-        st.segment_sizes.append(rj.nodes)
-        self._reschedule_finish(rj)
-        self.log.add(self.now, LogKind.FAILURE, job_id, nodes=rj.nodes)
+        job = ex.job
+        nodes = ex.nodes
+        self._close_segment(ex, ex.preempt(self.now), interrupted=True)
+        job.stats.failures += 1
+        ex.start_segment(self.now + self.config.failures.restart_delay_s, nodes)
+        job.stats.segment_sizes.append(nodes)
+        self._reschedule_finish(ex)
+        self.log.add(self.now, LogKind.FAILURE, job_id, nodes=nodes)
 
     def _handle_planned_preempt(self, od_id: int, victim_id: int) -> None:
         self.coordinator.on_planned_preempt(od_id, victim_id)
@@ -873,28 +755,7 @@ class Simulation:
     # ------------------------------------------------------------------
     def _predict_wall(self, job: Job, nodes: int) -> float:
         """Estimated wall-clock duration of *job* if started now on *nodes*."""
-        ex = self._executions.get(job.job_id)
-        if job.is_malleable:
-            pad = (job.estimate - job.runtime) * job.size
-            if isinstance(ex, MalleableExecution):
-                work = ex.work_remaining + pad
-            else:
-                work = job.estimate_node_seconds
-            return job.setup_time + work / nodes
-        if job.is_ondemand:
-            return job.setup_time + job.estimate
-        # rigid: include checkpoint overheads in the prediction
-        base = ex.completed_work if isinstance(ex, RigidExecution) else 0.0
-        est_total = max(job.estimate, base + EPS)
-        tl = RigidTimeline(
-            start=0.0,
-            setup=job.setup_time,
-            base_work=base,
-            total_work=est_total,
-            interval=self.config.checkpoint.interval(job.size),
-            cost=self.config.checkpoint.cost(job.size),
-        )
-        return tl.wall_for_work(est_total)
+        return self._execution_for(job).predict_wall(nodes)
 
     def _reservation_blocks(self, reservations: List[Reservation]) -> List:
         """Reservation pseudo-blocks: held nodes release when the owning
@@ -929,8 +790,8 @@ class Simulation:
         if not self._track_timeline:
             # seed behaviour: re-derive every block from the running set
             blocks = [
-                (rj.predicted_finish(), rj.nodes)
-                for rj in self.running.values()
+                (ex.predicted_finish(), ex.nodes)
+                for ex in self.running.values()
             ]
             blocks.extend(overlay)
             return ProfileView.from_blocks(self.now, usable, blocks)
@@ -1042,16 +903,16 @@ class Simulation:
     # ------------------------------------------------------------------
     def validate_state(self) -> None:
         self.coordinator.book.validate(self.cluster.free)
-        for job_id, rj in self.running.items():
-            if self.cluster.allocation(job_id) != rj.nodes:
+        for job_id, ex in self.running.items():
+            if self.cluster.allocation(job_id) != ex.nodes:
                 raise SimulationError(
                     f"job {job_id}: cluster says "
                     f"{self.cluster.allocation(job_id)} nodes, record says "
-                    f"{rj.nodes}"
+                    f"{ex.nodes}"
                 )
-            if rj.job.state is not JobState.RUNNING:
+            if ex.job.state is not JobState.RUNNING:
                 raise SimulationError(
-                    f"job {job_id} in running set but state {rj.job.state}"
+                    f"job {job_id} in running set but state {ex.job.state}"
                 )
         for job in self.queue:
             if job.state is not JobState.QUEUED:
@@ -1066,8 +927,8 @@ class Simulation:
         if self._track_timeline:
             self.timeline.validate_against(
                 {
-                    job_id: (rj.predicted_finish(), rj.nodes)
-                    for job_id, rj in self.running.items()
+                    job_id: (ex.predicted_finish(), ex.nodes)
+                    for job_id, ex in self.running.items()
                 }
             )
 

@@ -164,3 +164,46 @@ class TestFailureInjection:
             return total
 
         assert lost(1000.0) <= lost(16000.0)
+
+
+@pytest.mark.parametrize("mechanism", ["N&PAA", "N&SPAA", "CUA&SPAA"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_malleable_in_restart_delay_can_be_shrunk_or_preempted(mechanism, seed):
+    """A failure restarts the segment ``restart_delay_s`` in the future; an
+    on-demand arrival inside that window shrinks or preempts the job before
+    its segment has begun, which must accrue nothing rather than read as
+    time moving backwards."""
+    jobs = [
+        Job(
+            job_id=1,
+            job_type=JobType.MALLEABLE,
+            submit_time=0.0,
+            size=100,
+            min_size=20,
+            runtime=50_000.0,
+            estimate=60_000.0,
+            setup_time=50.0,
+        ),
+        Job(
+            job_id=2,
+            job_type=JobType.ONDEMAND,
+            submit_time=1000.0,
+            size=50,
+            runtime=2000.0,
+            estimate=2000.0,
+        ),
+    ]
+    config = SimConfig(
+        system_size=100,
+        failures=FailureModel(
+            enabled=True, node_mtbf_s=20_000.0, restart_delay_s=5_000.0
+        ),
+        failure_seed=seed,
+        validate_invariants=True,
+    )
+    res = Simulation(jobs, config, Mechanism.parse(mechanism)).run()
+    assert res.failures_injected > 0
+    mall, od = res.jobs
+    assert all(j.state is JobState.COMPLETED for j in res.jobs)
+    assert od.start_delay == 0.0
+    assert mall.stats.retained_node_seconds == pytest.approx(100 * 50_000.0)
