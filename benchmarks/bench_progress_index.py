@@ -1,22 +1,26 @@
 """Progress-index effectiveness: warm completion scans must be >=10x cold.
 
-The quadratic-scan problem the index solves: every worker pass used to
-re-read and re-parse *every* results/shard line to compute the known-key
-set, so a 10k-cell grid paid O(total results) per completion check.
-With the index, a warm check stats the files, sees nothing appended, and
-reads zero bytes; appending a handful of cells costs exactly their
-bytes.
+The scan the index saves: without it, every ``campaign status`` (and
+every ``status --watch`` frame) re-reads and re-parses *every* line of
+``results.jsonl`` to compute the key→status map, so a 10k-cell grid
+pays O(total results) per check.  With the index, a warm check stats
+the file, sees nothing appended, and reads zero bytes; appending a
+handful of cells costs exactly their bytes.
 
-This benchmark builds a 10k-cell store (8k merged results + 4 worker
-shards of 500 each), then measures:
+This benchmark builds a 10k-cell ``results.jsonl``, then measures:
 
-* **cold scan** — a fresh index reading every byte (what the first pass
-  after a restart pays, and what *every* pass paid before the index);
-* **warm scan, idle** — nothing appended since the last pass;
-* **warm scan, +10 cells** — the steady-state worker-loop check.
+* **cold scan** — a fresh index reading every byte (what the first
+  status after the index is deleted pays, and what *every* status would
+  pay without the index);
+* **warm scan, idle** — a fresh ``ProgressIndex`` that loads the
+  persisted ``index/progress.json`` (the ``campaign status`` path) with
+  nothing appended since it was saved;
+* **warm scan, +10 cells** — the same after ten appended cells;
+* **warm scan, held index** — one in-memory index refreshed again (the
+  ``status --watch`` frame loop).
 
-Asserts the ISSUE's floor: cold / warm >= 10x (typically it is far
-higher — a warm idle scan is just a few stat calls).
+Asserts the floor: cold / warm >= 10x (typically it is far higher — a
+warm idle scan is a file load plus one stat call).
 """
 
 import json
@@ -24,16 +28,12 @@ import shutil
 import time
 
 from repro.campaign import CellRecord, ProgressIndex
-from repro.campaign.distrib.worker import known_keys
 from repro.perf.harness import measure
 from repro.perf.record import PerfRecord, current_git_sha
 
 from conftest import emit, out_dir, perf_store  # noqa: F401 - fixtures
 
-N_RESULTS = 8_000
-N_SHARDS = 4
-N_PER_SHARD = 500
-N_TOTAL = N_RESULTS + N_SHARDS * N_PER_SHARD
+N_TOTAL = 10_000
 
 
 def _record(i: int) -> CellRecord:
@@ -50,15 +50,8 @@ def _record(i: int) -> CellRecord:
 def _build_store(directory) -> None:
     directory.mkdir(parents=True)
     with (directory / "results.jsonl").open("w", encoding="utf-8") as fh:
-        for i in range(N_RESULTS):
+        for i in range(N_TOTAL):
             fh.write(_record(i).to_json() + "\n")
-    shards = directory / "shards"
-    shards.mkdir()
-    for s in range(N_SHARDS):
-        with (shards / f"w{s}.jsonl").open("w", encoding="utf-8") as fh:
-            base = N_RESULTS + s * N_PER_SHARD
-            for i in range(base, base + N_PER_SHARD):
-                fh.write(_record(i).to_json() + "\n")
 
 
 def _best_of(n, fn):
@@ -79,12 +72,13 @@ def test_progress_index_warm_scan_speedup(emit, perf_store):  # noqa: F811
 
     cold_s = _best_of(3, cold_scan)
 
-    # the persisted index a long-lived fleet (or a fresh process) reuses
+    # the persisted index every later `campaign status` process loads
     ProgressIndex(directory).refresh()
 
     def warm_idle():
-        keys = known_keys(directory)  # loads index/progress.json
-        assert len(keys) == N_TOTAL
+        index = ProgressIndex(directory)  # loads index/progress.json
+        index.refresh()
+        assert len(index.keys()) == N_TOTAL
 
     warm_idle_s = _best_of(5, warm_idle)
 
@@ -92,19 +86,20 @@ def test_progress_index_warm_scan_speedup(emit, perf_store):  # noqa: F811
 
     def warm_append():
         base = N_TOTAL + appended["n"]
-        with (directory / "shards" / "w0.jsonl").open(
+        with (directory / "results.jsonl").open(
             "a", encoding="utf-8"
         ) as fh:
             for i in range(base, base + 10):
                 fh.write(_record(i).to_json() + "\n")
         appended["n"] += 10
-        keys = known_keys(directory)
-        assert len(keys) == base + 10
+        index = ProgressIndex(directory)
+        index.refresh()
+        assert len(index.keys()) == base + 10
 
     warm_append_s = _best_of(5, warm_append)
 
-    # the steady-state worker loop holds its index in memory across
-    # passes — no reload of the persisted file at all
+    # the `status --watch` loop holds its index in memory across
+    # frames — no reload of the persisted file at all
     held = ProgressIndex(directory)
     held.refresh()
 
@@ -136,8 +131,7 @@ def test_progress_index_warm_scan_speedup(emit, perf_store):  # noqa: F811
         "bench_progress_index",
         "\n".join(
             [
-                f"progress index scan, {N_TOTAL} cells "
-                f"({N_RESULTS} merged + {N_SHARDS}x{N_PER_SHARD} shard):",
+                f"progress index scan, {N_TOTAL} cells in results.jsonl:",
                 f"  cold full scan        {cold_s * 1e3:9.2f} ms",
                 f"  warm scan, idle       {warm_idle_s * 1e3:9.2f} ms  "
                 f"({speedup_idle:.0f}x)",
@@ -165,9 +159,7 @@ def test_index_agrees_with_full_scan(emit):  # noqa: F811
     assert cold.keys() == warm.keys()
     index_file = directory / "index" / "progress.json"
     data = json.loads(index_file.read_text("utf-8"))
-    assert set(data["files"]) == {"results.jsonl"} | {
-        f"shards/w{s}.jsonl" for s in range(N_SHARDS)
-    }
+    assert set(data["files"]) == {"results.jsonl"}
     emit(
         "bench_progress_index_verify",
         f"warm/cold key sets agree on {len(cold.keys())} cells; "

@@ -21,26 +21,12 @@ single run — the first-class object:
   panel for :mod:`repro.obs` trace documents (``report --html
   --trace``);
 * :mod:`repro.campaign.progress` — :class:`ProgressIndex`, the
-  incremental (byte-offset) completion index every scan goes through,
-  and the ``campaign status --watch`` fleet dashboard;
-* :mod:`repro.campaign.distrib` — cell leasing, worker fleets (local
-  subprocess / SSH backends), and idempotent shard merging, so the same
-  grid runs across any number of machines sharing the directory.
+  incremental (byte-offset) completion index ``campaign status`` reads,
+  and the ``campaign status --watch`` dashboard.
 
-CLI: ``repro-hybrid campaign run|fleet|worker|merge|gc|status|report``.
+CLI: ``repro-hybrid campaign run|gc|status|report``.
 """
 
-from repro.campaign.distrib import (
-    FleetResult,
-    LeaseBoard,
-    LocalSubprocessBackend,
-    MergeStats,
-    SSHBackend,
-    WorkerSummary,
-    merge_shards,
-    run_fleet,
-    run_worker,
-)
 from repro.campaign.executor import (
     CampaignPlan,
     CampaignRunResult,
@@ -51,7 +37,6 @@ from repro.campaign.executor import (
     run_campaign,
 )
 from repro.campaign.progress import (
-    IndexKeyView,
     ProgressIndex,
     RefreshStats,
     StatusSnapshot,
@@ -103,27 +88,17 @@ __all__ = [
     "CampaignRunResult",
     "CellRecord",
     "CompactStats",
-    "FleetResult",
-    "IndexKeyView",
-    "LeaseBoard",
-    "LocalSubprocessBackend",
-    "MergeStats",
     "ProgressIndex",
     "RefreshStats",
     "ResultStore",
-    "SSHBackend",
     "StatusSnapshot",
     "ThroughputTracker",
-    "WorkerSummary",
     "canonical_json",
     "collect_records",
     "execute_cell",
     "execute_cells",
-    "merge_shards",
     "plan_campaign",
     "run_campaign",
-    "run_fleet",
-    "run_worker",
     "invalidate_indexes",
     "iter_jsonl_records",
     "read_jsonl_since",

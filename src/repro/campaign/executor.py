@@ -261,13 +261,7 @@ class CampaignRunResult:
 
 @dataclass(frozen=True)
 class CampaignPlan:
-    """What a pass over a campaign grid still has to compute.
-
-    Shared by the in-process pool and the distributed worker loop, so
-    both sides agree cell-for-cell on identity, dedup, and cache hits —
-    the pool is just the degenerate single-worker, no-lease execution of
-    the same plan.
-    """
+    """What a pass over a campaign grid still has to compute."""
 
     spec: CampaignSpec
     #: unique cells keyed by content address, first-occurrence order
@@ -327,7 +321,7 @@ def collect_records(
     spec: CampaignSpec, store: ResultStore
 ) -> List[CellRecord]:
     """One stored record per unique cell, in expansion order; all must
-    be present (run the campaign / merge the shards first)."""
+    be present (run the campaign first)."""
     keys = {c.key(): c for c in spec.expand()}
     records = [store.get(key) for key in keys]
     missing = sum(1 for r in records if r is None)
@@ -468,9 +462,8 @@ def run_campaign(
         Write each simulated cell's scheduler decision log to
         ``<log_dir>/<cell key>.jsonl`` (``--log-decisions``).
 
-    For multi-machine execution of the same grid, see
-    :func:`repro.campaign.distrib.run_fleet` — it shares this planner
-    and store, adding cell leases and per-worker shards on top.
+    Pool workers only compute: they return records, and the calling
+    process is the one that appends them to the store.
     """
     say = progress or (lambda _msg: None)
     if store is None:

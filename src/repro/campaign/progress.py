@@ -1,37 +1,35 @@
-"""Incremental campaign progress accounting and the live fleet dashboard.
+"""Incremental campaign progress accounting and the live status dashboard.
 
-Paper-scale grids (10k+ cells, many workers) die on quadratic scans:
-every worker pass, every merge, and every ``campaign status`` re-reads
-*all* of ``results.jsonl`` plus every ``shards/*.jsonl`` just to learn
-which cells already have records, so the cost of a completion check
-grows with everything finished so far instead of with what is new.
+A ``campaign status`` that re-reads *all* of ``results.jsonl`` to learn
+which cells already have records pays for everything finished so far,
+every frame of ``--watch`` included, instead of for what is new.
 
-:class:`ProgressIndex` fixes that.  It remembers, per tracked file, the
-byte offset up to which records have been folded in, the file's inode,
-and the key→status map those records produced, and persists the whole
-thing atomically as ``index/<name>.json`` under the campaign directory.
-A refresh then:
+:class:`ProgressIndex` avoids that.  It remembers the byte offset up to
+which ``results.jsonl`` has been folded in, the file's inode, and the
+key→status map those records produced, and persists the whole thing
+atomically as ``index/<name>.json`` under the campaign directory.  A
+refresh then:
 
-* ``stat``\\ s each tracked file and reads **only bytes appended** past
-  the remembered offset (a file whose size equals its offset is not
-  even opened);
+* ``stat``\\ s the file and reads **only bytes appended** past the
+  remembered offset (a file whose size equals its offset is not even
+  opened);
 * never consumes a torn trailing line (a writer killed — or caught —
   mid-append): the offset stops at the last newline, so the fragment is
   re-examined next pass and parsed once its newline lands;
-* falls back to a **full rescan of that file** when its inode changed
-  or it shrank (``compact``, rsync, truncation) — offsets into a
-  rewritten file are meaningless;
-* drops state for files that vanished.
+* falls back to a **full rescan** when the inode changed or the file
+  shrank (``compact``, rsync, truncation) — offsets into a rewritten
+  file are meaningless;
+* drops its state when the file vanished.
 
 The index is a pure cache: deleting it (or ``ResultStore.compact``
 invalidating it) merely makes the next scan cold.  Any number of
-processes may share one index file — saves are atomic replaces, and a
+readers may share one index file — saves are atomic replaces, and a
 lost save only means someone re-reads a few bytes.
 
 On top of the index sit :func:`take_snapshot` /
 :class:`ThroughputTracker` / :func:`watch_status`: the ``campaign
-status --watch`` dashboard, aggregating per-worker shard append rates
-(cells/min), live vs expired leases, error counts, and a grid ETA.
+status --watch`` dashboard, with completion throughput (cells/min),
+error counts, and a grid ETA.
 """
 
 from __future__ import annotations
@@ -43,25 +41,14 @@ import time
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.campaign.store import (
     INDEX_DIR,
     RESULTS_FILE,
-    SHARDS_DIR,
-    CellRecord,
     read_jsonl_since,
 )
 from repro.obs import get_obs
-from repro.util.errors import ConfigurationError
 
 logger = logging.getLogger(__name__)
 
@@ -121,26 +108,23 @@ class RefreshStats:
 
 
 class ProgressIndex:
-    """Byte-offset index over a campaign directory's JSONL files.
+    """Byte-offset index over a campaign directory's ``results.jsonl``.
 
-    Tracks ``<directory>/<results_file>`` plus every
-    ``shards/*.jsonl``; persists to ``index/<name>.json``.  All state
-    is revalidated against file sizes and inodes on every
-    :meth:`refresh`, so the persisted file is safe to share between
-    workers, mergers, and dashboards — and safe to delete at any time.
+    Persists to ``index/<name>.json``.  All state is revalidated
+    against the file's size and inode on every :meth:`refresh`, so the
+    persisted file is safe to share between readers — and safe to
+    delete at any time.
     """
 
     def __init__(
         self,
         directory: os.PathLike,
         name: str = "progress",
-        results_file: str = RESULTS_FILE,
         autosave: bool = True,
         save_interval_s: float = 5.0,
     ) -> None:
         self.directory = Path(directory)
         self.name = name
-        self.results_file = results_file
         self.autosave = autosave
         #: autosaves serialize the whole key set — O(total), the one
         #: cost that must NOT be paid per appended record — so refresh
@@ -164,16 +148,12 @@ class ProgressIndex:
         try:
             data = json.loads(self.path.read_text(encoding="utf-8"))
             # count the on-disk copy's age against the autosave
-            # throttle, so short-lived processes (one claim pass, one
-            # status call) don't each rewrite the whole index
+            # throttle, so short-lived processes (one status call)
+            # don't each rewrite the whole index
             self._last_save_t = self.path.stat().st_mtime
         except (FileNotFoundError, OSError, json.JSONDecodeError):
             return
-        if (
-            not isinstance(data, dict)
-            or data.get("version") != INDEX_VERSION
-            or data.get("results_file") != self.results_file
-        ):
+        if not isinstance(data, dict) or data.get("version") != INDEX_VERSION:
             return  # unknown format: treat as cold, rebuild on refresh
         try:
             self.files = {
@@ -196,7 +176,6 @@ class ProgressIndex:
         payload = json.dumps(
             {
                 "version": INDEX_VERSION,
-                "results_file": self.results_file,
                 "files": {
                     rel: state.to_dict() for rel, state in self.files.items()
                 },
@@ -239,31 +218,14 @@ class ProgressIndex:
 
     # --- scanning ----------------------------------------------------------
     def tracked_files(self) -> List[str]:
-        """Directory-relative paths this index covers, scan order."""
-        rels: List[str] = []
-        if (self.directory / self.results_file).exists():
-            rels.append(self.results_file)
-        shards = self.directory / SHARDS_DIR
-        if shards.is_dir():
-            for path in sorted(shards.glob("*.jsonl")):
-                rel = f"{SHARDS_DIR}/{path.name}"
-                if rel != self.results_file:
-                    rels.append(rel)
-        return rels
+        """Directory-relative paths this index covers: ``results.jsonl``
+        once it exists."""
+        if (self.directory / RESULTS_FILE).exists():
+            return [RESULTS_FILE]
+        return []
 
-    def refresh(
-        self,
-        on_record: Optional[Callable[[str, CellRecord], None]] = None,
-    ) -> RefreshStats:
-        """Fold appended records in; O(appended bytes) when warm.
-
-        *on_record* receives ``(relative_path, record)`` for every
-        newly consumed record, in scan order — the merge uses it to see
-        exactly the shard records it has not processed yet.  Note that
-        a full rescan (shrink/inode change) re-delivers that file's
-        records; consumers must stay idempotent, which content-address
-        dedup gives for free.
-        """
+    def refresh(self) -> RefreshStats:
+        """Fold appended records in; O(appended bytes) when warm."""
         present = self.tracked_files()
         n_bytes = n_new = n_rescans = n_torn = 0
         vanished = [rel for rel in self.files if rel not in present]
@@ -300,8 +262,6 @@ class ProgressIndex:
                 state.keys[record.key] = record.status
                 state.n_records += 1
                 state.elapsed_s += record.elapsed_s
-                if on_record is not None:
-                    on_record(rel, record)
             n_new += len(records)
             if torn:
                 n_torn += 1
@@ -335,34 +295,19 @@ class ProgressIndex:
 
     # --- aggregate views ---------------------------------------------------
     def keys(self) -> Set[str]:
-        """Every key with a record anywhere (any status, any file)."""
+        """Every key with a record (any status)."""
         out: Set[str] = set()
         for state in self.files.values():
             out.update(state.keys)
         return out
 
     def statuses(self) -> Dict[str, str]:
-        """Key → overall status across all files; ``ok`` beats
-        ``error`` (a cell that failed on one worker and succeeded on
-        another counts as done, matching the merge's upgrade rule)."""
+        """Key → status of its last record (last write wins, the
+        :class:`ResultStore` replay rule)."""
         out: Dict[str, str] = {}
         for state in self.files.values():
-            for key, status in state.keys.items():
-                if out.get(key) != "ok":
-                    out[key] = status
+            out.update(state.keys)
         return out
-
-    def results_state(self) -> Optional[FileState]:
-        return self.files.get(self.results_file)
-
-    def shard_states(self) -> Dict[str, FileState]:
-        """Shard name → state, for the per-worker dashboard rows."""
-        prefix = SHARDS_DIR + "/"
-        return {
-            rel[len(prefix):-len(".jsonl")]: state
-            for rel, state in self.files.items()
-            if rel.startswith(prefix) and rel.endswith(".jsonl")
-        }
 
     def n_records(self) -> int:
         return sum(state.n_records for state in self.files.values())
@@ -371,45 +316,7 @@ class ProgressIndex:
         return sum(state.elapsed_s for state in self.files.values())
 
 
-class IndexKeyView:
-    """Duck-typed, read-only stand-in for :class:`ResultStore` in
-    :func:`repro.campaign.executor.plan_campaign`: key membership and
-    status sets come from the index, no record bodies are loaded.
-    """
-
-    def __init__(self, index: ProgressIndex) -> None:
-        self._statuses = index.statuses()
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._statuses
-
-    def completed_keys(self) -> frozenset:
-        return frozenset(
-            k for k, s in self._statuses.items() if s == "ok"
-        )
-
-    def failed_keys(self) -> frozenset:
-        return frozenset(
-            k for k, s in self._statuses.items() if s != "ok"
-        )
-
-    def drop(self, keys) -> int:
-        raise ConfigurationError(
-            "retrying failed cells needs a real ResultStore, not an "
-            "index view — run 'campaign run --retry-failed' instead"
-        )
-
-
 # --- status snapshots and the watch dashboard ------------------------------
-
-@dataclass(frozen=True)
-class ShardStat:
-    """One worker shard's dashboard row."""
-
-    name: str
-    n_records: int
-    n_errors: int
-
 
 @dataclass(frozen=True)
 class StatusSnapshot:
@@ -423,9 +330,6 @@ class StatusSnapshot:
     n_failed: int
     n_records: int
     elapsed_s: float
-    shards: Tuple[ShardStat, ...]
-    leases_live: int
-    leases_expired: int
 
     @property
     def n_pending(self) -> Optional[int]:
@@ -451,15 +355,12 @@ def spec_cell_keys(directory: os.PathLike) -> Tuple[Optional[str], Optional[froz
 
 
 def take_snapshot(
-    directory: os.PathLike,
     index: ProgressIndex,
     spec_name: Optional[str] = None,
     spec_keys: Optional[frozenset] = None,
     clock: Callable[[], float] = time.time,
 ) -> StatusSnapshot:
     """Refresh the index and read one dashboard frame's worth of state."""
-    from repro.campaign.distrib.lease import LeaseBoard
-
     index.refresh()
     statuses = index.statuses()
     if spec_keys is not None:
@@ -472,34 +373,14 @@ def take_snapshot(
         n_done = sum(1 for s in statuses.values() if s == "ok")
         n_failed = len(statuses) - n_done
         n_cells = None
-    shards = tuple(
-        ShardStat(
-            name=name,
-            n_records=state.n_records,
-            n_errors=sum(
-                1 for s in state.keys.values() if s != "ok"
-            ),
-        )
-        for name, state in sorted(index.shard_states().items())
-    )
-    now = clock()
-    live = expired = 0
-    for lease in LeaseBoard(directory, clock=clock).active():
-        if lease.expired(now):
-            expired += 1
-        else:
-            live += 1
     return StatusSnapshot(
-        time=now,
+        time=clock(),
         name=spec_name,
         n_cells=n_cells,
         n_done=n_done,
         n_failed=n_failed,
         n_records=index.n_records(),
         elapsed_s=index.elapsed_s(),
-        shards=shards,
-        leases_live=live,
-        leases_expired=expired,
     )
 
 
@@ -507,9 +388,7 @@ class ThroughputTracker:
     """Sliding-window rates over a sequence of snapshots.
 
     Completion throughput comes from the done+failed cell count (unique
-    keys, so duplicate executions never inflate it); per-shard rates
-    come from each shard's append volume — together they show both grid
-    progress and which worker produces it.
+    keys, so re-executed cells never inflate it).
     """
 
     def __init__(self, window_s: float = 120.0) -> None:
@@ -539,22 +418,6 @@ class ThroughputTracker:
             first.n_done + first.n_failed
         )
         return 60.0 * done / (last.time - first.time)
-
-    def shard_cells_per_min(self, name: str) -> Optional[float]:
-        span = self._span()
-        if span is None:
-            return None
-        first, last = span
-
-        def count(snap: StatusSnapshot) -> int:
-            for shard in snap.shards:
-                if shard.name == name:
-                    return shard.n_records
-            return 0
-
-        return (
-            60.0 * (count(last) - count(first)) / (last.time - first.time)
-        )
 
     def eta_s(self, snapshot: StatusSnapshot) -> Optional[float]:
         rate = self.cells_per_min()
@@ -590,13 +453,10 @@ def _progress_line(snapshot: StatusSnapshot) -> str:
 def render_status(
     snapshot: StatusSnapshot,
     tracker: Optional[ThroughputTracker] = None,
-    leases: Optional[List] = None,
 ) -> str:
     """Render one status frame.
 
-    With a *tracker* (watch mode) throughput and ETA lines are
-    included; *leases* (parsed :class:`Lease` objects) adds one detail
-    line per lease.
+    With a *tracker* (watch mode) a throughput and ETA line is included.
     """
     lines = [_progress_line(snapshot)]
     lines.append(
@@ -608,32 +468,6 @@ def render_status(
         rate_text = f"{rate:.1f} cells/min" if rate is not None else "n/a"
         eta = format_duration(tracker.eta_s(snapshot))
         lines.append(f"throughput: {rate_text} — ETA {eta}")
-    if snapshot.shards:
-        lines.append("shards:")
-        for shard in snapshot.shards:
-            plural = "" if shard.n_errors == 1 else "s"
-            line = (
-                f"  shard {shard.name}: {shard.n_records} records, "
-                f"{shard.n_errors} error{plural}"
-            )
-            if tracker is not None:
-                shard_rate = tracker.shard_cells_per_min(shard.name)
-                if shard_rate is not None:
-                    line += f", {shard_rate:.1f} cells/min"
-            lines.append(line)
-    if snapshot.leases_live or snapshot.leases_expired:
-        lines.append(
-            f"leases: {snapshot.leases_live} live, "
-            f"{snapshot.leases_expired} expired"
-        )
-    if leases:
-        for lease in leases:
-            state = "EXPIRED" if lease.expired(snapshot.time) else "live"
-            lines.append(
-                f"  lease {lease.key}: {state}, owner {lease.owner}, "
-                f"heartbeat {lease.age_s(snapshot.time):.0f}s ago "
-                f"(ttl {lease.ttl_s:.0f}s)"
-            )
     return "\n".join(lines)
 
 
@@ -642,21 +476,16 @@ def status_report(
     index: Optional[ProgressIndex] = None,
     clock: Callable[[], float] = time.time,
 ) -> str:
-    """One-shot ``campaign status``: index-backed progress plus lease
-    detail lines, plus per-failure detail (which needs record bodies,
-    so the store is only read when failures exist)."""
-    from repro.campaign.distrib.lease import LeaseBoard
-
+    """One-shot ``campaign status``: index-backed progress plus
+    per-failure detail (which needs record bodies, so the store is only
+    read when failures exist)."""
     index = index or ProgressIndex(directory)
     spec_name, spec_keys = spec_cell_keys(directory)
-    snapshot = take_snapshot(
-        directory, index, spec_name, spec_keys, clock=clock
-    )
-    leases = LeaseBoard(directory, clock=clock).active()
-    text = render_status(snapshot, leases=leases)
+    snapshot = take_snapshot(index, spec_name, spec_keys, clock=clock)
+    text = render_status(snapshot)
     if snapshot.n_failed:
         # failure details need record bodies, which the index does not
-        # keep — re-read the files, but only on the failure path
+        # keep — re-read the file, but only on the failure path
         from repro.campaign.store import iter_jsonl_records
 
         statuses = index.statuses()
@@ -693,8 +522,6 @@ def watch_status(
     index = ProgressIndex(directory)
     spec_name, spec_keys = spec_cell_keys(directory)
     tracker = ThroughputTracker(window_s=window_s)
-    from repro.campaign.distrib.lease import LeaseBoard
-
     n = 0
     try:
         while frames is None or n < frames:
@@ -703,14 +530,11 @@ def watch_status(
             elif n:
                 out("")
             if spec_keys is None:
-                # a fleet may write campaign.json after the watch starts
+                # a run may write campaign.json after the watch starts
                 spec_name, spec_keys = spec_cell_keys(directory)
-            snapshot = take_snapshot(
-                directory, index, spec_name, spec_keys, clock=clock
-            )
+            snapshot = take_snapshot(index, spec_name, spec_keys, clock=clock)
             tracker.add(snapshot)
-            leases = LeaseBoard(directory, clock=clock).active()
-            out(render_status(snapshot, tracker=tracker, leases=leases))
+            out(render_status(snapshot, tracker=tracker))
             n += 1
             if frames is None or n < frames:
                 sleep(interval_s)

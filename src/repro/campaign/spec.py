@@ -299,7 +299,7 @@ class CampaignSpec:
                 "trace_options given but no trace_file axis value is set"
             )
         # a typo'd policy axis value (or a bad knob) must error at plan
-        # time, not mid-fleet: resolve every non-None name with its own
+        # time, not mid-campaign: resolve every non-None name with its own
         # params against the registry right here
         for pname in self.policy_params:
             if pname not in self.policy:

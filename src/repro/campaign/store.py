@@ -4,8 +4,10 @@ One campaign lives in one directory::
 
     <dir>/campaign.json    the expanded spec (for status/report/resume)
     <dir>/results.jsonl    one strict-JSON record per completed cell
-    <dir>/shards/*.jsonl   per-worker partial results (distributed runs)
-    <dir>/leases/*.json    cell leases (distributed runs)
+    <dir>/index/*.json     cached progress indexes (pure caches)
+
+``campaign run`` is the directory's one writer: its process appends
+every record, pool workers only compute them.
 
 Records are keyed by the cell's content address (a SHA-256 prefix of its
 canonical config), so the store is *content-addressed*: re-running a
@@ -35,7 +37,6 @@ logger = logging.getLogger(__name__)
 
 RESULTS_FILE = "results.jsonl"
 SPEC_FILE = "campaign.json"
-SHARDS_DIR = "shards"
 #: cached progress indexes (see :mod:`repro.campaign.progress`) live here
 INDEX_DIR = "index"
 
@@ -146,8 +147,8 @@ def iter_jsonl_records(path: Path):
     """Yield the valid :class:`CellRecord` s of a JSONL file, in order.
 
     Torn tail lines (a writer killed mid-append) are skipped with a
-    warning — that cell simply re-runs.  Shared by the store loader, the
-    shard merger, and the distributed worker's completion scan.
+    warning — that cell simply re-runs.  Used by ``compact`` and by
+    ``campaign status``'s failure details.
     """
     records, _offset, torn = read_jsonl_since(Path(path), 0)
     if torn:
@@ -187,24 +188,18 @@ class ResultStore:
 
     With ``directory=None`` the store is purely in-memory (useful for
     one-shot figure runs that want the campaign machinery without a
-    cache directory).  *results_file* relocates the JSONL inside the
-    directory — distributed workers use ``shards/<name>.jsonl`` so many
-    writers never interleave appends into one file.  ``load=False``
-    skips replaying the JSONL into memory, for callers that only need
-    the spec paths (the fleet launcher, which accounts completion via
-    the progress index instead).
+    cache directory).  ``load=False`` skips replaying the JSONL into
+    memory, for callers that only need the spec or results paths.
     """
 
     def __init__(
         self,
         directory: Optional[os.PathLike] = None,
-        results_file: str = RESULTS_FILE,
         load: bool = True,
     ) -> None:
         self.directory: Optional[Path] = (
             Path(directory) if directory is not None else None
         )
-        self._results_file = results_file
         self._records: Dict[str, CellRecord] = {}
         #: byte offset up to which the JSONL has been folded into memory,
         #: and the inode it belonged to — `refresh()` reads only appended
@@ -219,16 +214,13 @@ class ResultStore:
         # (status/report) never leave empty directories behind
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
-            path = self.results_path
-            if path is not None:
-                path.parent.mkdir(parents=True, exist_ok=True)
 
     # --- persistence -------------------------------------------------------
     @property
     def results_path(self) -> Optional[Path]:
         if self.directory is None:
             return None
-        return self.directory / self._results_file
+        return self.directory / RESULTS_FILE
 
     @property
     def spec_path(self) -> Optional[Path]:
@@ -374,7 +366,7 @@ class ResultStore:
     def compact(self, drop_errors: bool = False) -> "CompactStats":
         """Rewrite the JSONL keeping one line per key (``campaign gc``).
 
-        Retries and merges append superseding lines; history accumulates
+        Retries append superseding lines; history accumulates
         until compacted.  ``drop_errors=True`` additionally removes
         ``error`` records entirely, so those cells re-run on the next
         campaign pass.  The rewrite is atomic (temp file + rename): a
@@ -413,11 +405,11 @@ class ResultStore:
 
     def canonical_bytes(self) -> bytes:
         """A machine- and schedule-independent serialization of the
-        merged state: one line per key in sorted order, with wall-clock
+        stored state: one line per key in sorted order, with wall-clock
         fields (``elapsed_s``, the summary's wall-clock metrics)
         stripped.  Two stores hold the same results iff their canonical
-        bytes are equal — the equivalence used to assert that a
-        kill-and-resume fleet matches a solo run byte for byte.
+        bytes are equal — the equivalence used to assert that a killed
+        and resumed ``campaign run`` matches an uninterrupted one.
         """
         lines = []
         for key in sorted(self._records):

@@ -19,21 +19,11 @@ Campaigns (durable, resumable scenario grids)::
     repro-hybrid campaign report --dir runs/grid --html report.html --open
     repro-hybrid campaign report --dir runs/easy --diff runs/conservative
     repro-hybrid campaign gc --dir runs/grid --drop-errors
-
-Distributed campaigns (cell leasing + per-worker shards)::
-
-    repro-hybrid campaign fleet --dir runs/big --days 365 \\
-        --mechanisms all+baseline --seeds 1 2 3 4 5 --workers 8
-    repro-hybrid campaign fleet --dir /shared/runs/big --spec grid.json \\
-        --ssh-hosts node1 node2 node3 --remote-python python3
-    repro-hybrid campaign worker --dir /shared/runs/big --shard node1-0
-    repro-hybrid campaign merge --dir /shared/runs/big
-    repro-hybrid campaign status --dir /shared/runs/big --watch
+    repro-hybrid campaign status --dir runs/grid --watch
 
 Instrumentation (spans + metrics, Perfetto-compatible traces)::
 
     repro-hybrid campaign run --dir runs/grid --trace run.trace.json
-    repro-hybrid campaign fleet --dir runs/big --trace fleet.trace.json
     repro-hybrid campaign report --dir runs/grid --html report.html \\
         --trace run.trace.json
     repro-hybrid obs summary run.trace.json
@@ -180,7 +170,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def _add_grid_args(parser: argparse.ArgumentParser) -> None:
-    """Axis options shared by ``campaign run`` and ``campaign fleet``."""
+    """Grid axis options of ``campaign run``."""
     parser.add_argument(
         "--spec",
         default=None,
@@ -296,90 +286,6 @@ def make_campaign_parser() -> argparse.ArgumentParser:
         "DIR/<cell key>.jsonl",
     )
 
-    fleet_p = sub.add_parser(
-        "fleet",
-        help="run a campaign with a worker fleet (leases + shards)",
-    )
-    fleet_p.add_argument("--dir", dest="directory", required=True)
-    _add_grid_args(fleet_p)
-    fleet_p.add_argument(
-        "--workers", type=int, default=2,
-        help="local subprocess workers (ignored with --ssh-hosts)",
-    )
-    fleet_p.add_argument(
-        "--ssh-hosts", nargs="*", default=None,
-        help="run one worker per host over ssh (shared filesystem)",
-    )
-    fleet_p.add_argument(
-        "--remote-python", default="python3",
-        help="python executable on the ssh hosts",
-    )
-    fleet_p.add_argument(
-        "--remote-dir", default=None,
-        help="campaign dir as seen from the ssh hosts (default: --dir)",
-    )
-    fleet_p.add_argument(
-        "--remote-pythonpath", default=None,
-        help="PYTHONPATH to set on the ssh hosts (source checkouts)",
-    )
-    fleet_p.add_argument("--ttl", type=float, default=60.0)
-    fleet_p.add_argument("--poll", type=float, default=1.0)
-    fleet_p.add_argument(
-        "--claim-batch", type=int, default=1,
-        help="leases each worker claims per round (amortizes "
-        "lease-board and completion-scan traffic)",
-    )
-    fleet_p.add_argument(
-        "--trace",
-        dest="trace_out",
-        default=None,
-        metavar="FILE",
-        help="trace the launcher AND every worker (workers write "
-        "<dir>/traces/<shard>.trace.json; all merged into FILE)",
-    )
-
-    worker_p = sub.add_parser(
-        "worker",
-        help="work one campaign directory (claim cells, append a shard)",
-    )
-    worker_p.add_argument("--dir", dest="directory", required=True)
-    worker_p.add_argument(
-        "--shard", required=True,
-        help="private shard name; unique per concurrent worker",
-    )
-    worker_p.add_argument("--ttl", type=float, default=60.0)
-    worker_p.add_argument("--poll", type=float, default=1.0)
-    worker_p.add_argument(
-        "--max-cells", type=int, default=None,
-        help="stop after executing this many cells",
-    )
-    worker_p.add_argument(
-        "--no-wait", action="store_true",
-        help="exit when nothing is claimable instead of waiting for "
-        "other workers' leases to resolve",
-    )
-    worker_p.add_argument(
-        "--claim-batch", type=int, default=1,
-        help="leases to claim per round before executing (amortizes "
-        "lease-board and completion-scan traffic)",
-    )
-    worker_p.add_argument(
-        "--trace",
-        dest="trace_out",
-        default=None,
-        metavar="FILE",
-        help="write this worker's spans + metrics as trace-event JSON",
-    )
-
-    merge_p = sub.add_parser(
-        "merge", help="fold shards/*.jsonl into results.jsonl (idempotent)"
-    )
-    merge_p.add_argument("--dir", dest="directory", required=True)
-    merge_p.add_argument(
-        "--keep-leases", action="store_true",
-        help="do not prune lease files for merged cells",
-    )
-
     gc_p = sub.add_parser(
         "gc", help="compact results.jsonl (drop superseded records)"
     )
@@ -393,8 +299,8 @@ def make_campaign_parser() -> argparse.ArgumentParser:
     status_p.add_argument("--dir", dest="directory", required=True)
     status_p.add_argument(
         "--watch", action="store_true",
-        help="refreshing fleet dashboard: per-worker throughput, "
-        "live/expired leases, error counts, grid ETA",
+        help="refreshing dashboard: completion throughput, "
+        "error counts, grid ETA",
     )
     status_p.add_argument(
         "--interval", type=float, default=2.0,
@@ -820,16 +726,6 @@ def _parse_filters(pairs: Optional[List[str]]) -> Optional[dict]:
     return out
 
 
-def _enable_obs_if(trace_out: Optional[str]):
-    """Switch the process-global instrumentation on when ``--trace`` was
-    given; returns the live :class:`~repro.obs.Observability` or None."""
-    if not trace_out:
-        return None
-    from repro.obs import enable
-
-    return enable()
-
-
 def campaign_main(argv: List[str]) -> int:
     from repro.campaign import (
         DEFAULT_GROUP_BY,
@@ -844,7 +740,11 @@ def campaign_main(argv: List[str]) -> int:
     args = make_campaign_parser().parse_args(argv)
     if args.command == "run":
         spec = _campaign_spec_from_args(args)
-        obs = _enable_obs_if(getattr(args, "trace_out", None))
+        obs = None
+        if args.trace_out:
+            from repro.obs import enable
+
+            obs = enable()
         result = run_campaign(
             spec,
             directory=args.directory,
@@ -868,104 +768,6 @@ def campaign_main(argv: List[str]) -> int:
             write_trace(args.trace_out, obs, process_name="campaign-run")
             print(f"trace written to {args.trace_out}")
         return 1 if result.n_failed else 0
-    if args.command == "fleet":
-        from repro.campaign.distrib import (
-            LocalSubprocessBackend,
-            SSHBackend,
-            run_fleet,
-        )
-
-        spec = _campaign_spec_from_args(args)
-        if args.ssh_hosts:
-            backend = SSHBackend(
-                args.ssh_hosts,
-                python=args.remote_python,
-                remote_dir=args.remote_dir,
-                pythonpath=args.remote_pythonpath,
-            )
-        else:
-            backend = LocalSubprocessBackend(workers=args.workers)
-        obs = _enable_obs_if(getattr(args, "trace_out", None))
-        fleet = run_fleet(
-            spec,
-            directory=args.directory,
-            backend=backend,
-            ttl_s=args.ttl,
-            poll_s=args.poll,
-            allow_spec_update=args.grow,
-            progress=print,
-            trace=obs is not None,
-            claim_batch=args.claim_batch,
-        )
-        result = fleet.run
-        print(
-            f"campaign {spec.name!r}: {result.n_total} cells — "
-            f"{result.n_cached} cached, {result.n_ran} ran, "
-            f"{result.n_failed} failed; merged into {args.directory}"
-        )
-        if obs is not None:
-            import glob as _glob
-            from pathlib import Path
-
-            from repro.campaign.distrib.backend import TRACES_DIR
-            from repro.obs.export import (
-                load_trace,
-                merge_trace_data,
-                trace_data,
-                write_trace_data,
-            )
-
-            docs = [trace_data(obs, process_name="fleet-launcher")]
-            worker_traces = sorted(
-                _glob.glob(
-                    str(Path(args.directory) / TRACES_DIR / "*.trace.json")
-                )
-            )
-            docs.extend(load_trace(p) for p in worker_traces)
-            write_trace_data(args.trace_out, merge_trace_data(docs))
-            print(
-                f"trace written to {args.trace_out} "
-                f"({len(worker_traces)} worker trace(s) merged in)"
-            )
-        return 0 if fleet.ok else 1
-    if args.command == "worker":
-        from repro.campaign.distrib import run_worker
-
-        obs = _enable_obs_if(getattr(args, "trace_out", None))
-        summary = run_worker(
-            args.directory,
-            shard=args.shard,
-            ttl_s=args.ttl,
-            poll_s=args.poll,
-            max_cells=args.max_cells,
-            wait=not args.no_wait,
-            progress=print,
-            claim_batch=args.claim_batch,
-        )
-        if obs is not None:
-            from repro.obs.export import write_trace
-
-            write_trace(
-                args.trace_out, obs,
-                process_name=f"worker-{args.shard}",
-            )
-        print(
-            f"worker {summary.owner} shard={summary.shard}: "
-            f"{summary.n_executed} cells executed "
-            f"({summary.n_failed} failed) in {summary.elapsed_s:.1f}s"
-        )
-        # exit 1 on failed cells, matching 'campaign run' — batch
-        # schedulers and the fleet launcher key retries off this
-        return 1 if summary.n_failed else 0
-    if args.command == "merge":
-        from repro.campaign.distrib import merge_shards
-
-        merge_shards(
-            args.directory,
-            prune_leases=not args.keep_leases,
-            progress=print,
-        )
-        return 0
     if args.command == "gc":
         from repro.campaign.store import ResultStore
 

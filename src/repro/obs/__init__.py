@@ -1,15 +1,15 @@
 """Unified instrumentation layer: metrics + span tracing + trace export.
 
 Every layer of the system — simulator event loop, scheduling passes,
-campaign executor, distributed fleet, report pipeline — reports through
+campaign executor, report pipeline — reports through
 this one package:
 
 * :mod:`repro.obs.registry` — process-local counters, gauges, and
   fixed-bucket histograms (``snapshot()`` → plain dicts);
 * :mod:`repro.obs.tracing` — nested ``span()`` context managers with
   thread ids and a bounded ring buffer;
-* :mod:`repro.obs.export` — Chrome trace-event / Perfetto JSON export,
-  merge, and the ``obs summary`` text renderer;
+* :mod:`repro.obs.export` — Chrome trace-event / Perfetto JSON export
+  and the ``obs summary`` text renderer;
 * :mod:`repro.obs.memory` — opt-in memory profiling: tracemalloc
   sections plus ``process.rss_bytes`` / ``gc.collections`` gauges.
 
@@ -23,7 +23,7 @@ flags and tests call :func:`enable`; long-lived callers cache metric
 objects once and pay only the per-hit call.
 
 Naming convention: ``layer.noun.verb`` — ``sim.passes.run``,
-``distrib.lease.acquired``, ``report.pivot.build``.
+``campaign.cells.run``, ``report.pivot.build``.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ class Observability:
         #: :class:`MemoryProbe` or use ``enable(memory=True)``
         self.memory = NULL_MEMORY_PROBE if memory is None else memory
         #: pre-rendered Chrome trace events absorbed from subprocesses
-        #: (campaign pool children, fleet workers) — exported alongside
+        #: (campaign pool children) — exported alongside
         #: this process's own spans
         self.foreign_events: List[Dict[str, object]] = []
         # bind the hot-path methods once: call sites pay one attribute

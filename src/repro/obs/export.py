@@ -7,10 +7,10 @@ The on-disk format is the Chrome trace-event *JSON object* form —
 ride in ``"M"`` (metadata) events; the metrics registry snapshot rides
 in ``otherData["metrics"]`` so one file carries the whole picture.
 
-Multi-process runs (campaign pools, worker fleets) each produce their
-own event lists tagged with their real pid; :func:`merge_trace_data`
-folds them into one file — events concatenate, counters add, so the
-Perfetto timeline shows every worker as its own process track.
+Multi-process runs (campaign pools) produce one event list per child,
+tagged with its real pid; the parent absorbs them with
+``Observability.ingest`` so one file carries every process — the
+Perfetto timeline shows each pool worker as its own process track.
 
 :func:`render_summary` is the ``repro-hybrid obs summary`` renderer: a
 per-span-name aggregate table (count/total/mean/max) plus the counter
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.obs.tracing import SpanRecord
 
@@ -163,31 +163,6 @@ def load_trace(path: os.PathLike) -> Dict[str, object]:
     data.setdefault("traceEvents", [])
     data.setdefault("otherData", {})
     return data
-
-
-def merge_trace_data(
-    docs: Iterable[Mapping[str, object]],
-) -> Dict[str, object]:
-    """Fold several trace documents into one: events concatenate,
-    metric registries fold (counters add, gauges last-write-win)."""
-    from repro.obs.registry import MetricsRegistry
-
-    events: List[Dict[str, object]] = []
-    registry = MetricsRegistry()
-    dropped = 0
-    for doc in docs:
-        events.extend(dict(e) for e in doc.get("traceEvents", ()))
-        other = doc.get("otherData", {}) or {}
-        registry.merge_dict(other.get("metrics", {}) or {})
-        dropped += int(other.get("spans_dropped", 0) or 0)
-    other_out: Dict[str, object] = {"metrics": registry.snapshot()}
-    if dropped:
-        other_out["spans_dropped"] = dropped
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": other_out,
-    }
 
 
 # ----------------------------------------------------------------------

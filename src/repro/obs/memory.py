@@ -8,8 +8,8 @@ sections via :mod:`tracemalloc`.  Like every other part of
 process default is :data:`NULL_MEMORY_PROBE`, whose ``sample()`` is a
 no-op and whose ``section()`` hands back one shared no-op context
 manager, so the permanently wired call sites (simulator run loop,
-campaign executor cells, shard merge passes) cost a couple of no-op
-method calls when profiling is off.  The overhead gate in
+campaign executor cells) cost a couple of no-op method calls when
+profiling is off.  The overhead gate in
 ``benchmarks/bench_sim_core.py`` charges these hooks against the same
 <2%-disabled budget as the metric and span hooks.
 

@@ -24,7 +24,7 @@ the registry's structural invariants, and totals are exact because
 lock so two threads racing to create ``sim.events`` share one object.
 
 Naming convention (enforced nowhere, followed everywhere):
-``layer.noun.verb`` — ``sim.passes.run``, ``distrib.lease.acquired``,
+``layer.noun.verb`` — ``sim.passes.run``, ``campaign.cells.run``,
 ``progress.scan.bytes``.
 """
 
@@ -56,7 +56,7 @@ class Counter:
 
 
 class Gauge:
-    """A last-write-wins level (queue depth, live leases, ...)."""
+    """A last-write-wins level (queue depth, process RSS, ...)."""
 
     __slots__ = ("name", "value")
 

@@ -1,7 +1,7 @@
 """Span tracing: nested timed regions with a bounded ring buffer.
 
 A span is one timed region of one thread — a scheduling pass, a
-campaign cell, a shard merge.  Spans nest: entering ``sim.pass`` while
+campaign cell, a report build.  Spans nest: entering ``sim.pass`` while
 ``campaign.cell`` is open records the parent-child relation via per-
 thread depth tracking, which is exactly what the Chrome trace-event /
 Perfetto renderer needs to draw flame-style timelines

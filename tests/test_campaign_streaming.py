@@ -12,10 +12,8 @@ payloads.
 
 import pytest
 
-from repro.campaign import CampaignSpec, ResultStore, run_campaign, run_worker
-from repro.campaign.distrib.worker import known_keys
+from repro.campaign import CampaignSpec, ResultStore, run_campaign
 from repro.campaign.executor import _batch_size, trace_affine_order
-from repro.campaign.distrib.merge import merge_shards
 from repro.metrics.summary import deterministic_view
 from repro.sched.registry import policy_names
 from repro.workload.trace_cache import reset_trace_cache
@@ -195,40 +193,3 @@ class TestBatchedDispatch:
         assert result.n_ran == 28
         ok = [r for r in store.records() if r.status == "ok"]
         assert len(ok) == 14
-
-
-class TestWorkerClaimBatch:
-    def test_claim_batch_worker_matches_solo(self, tmp_path):
-        d = tmp_path / "c"
-        spec = small_spec()
-        ResultStore(d).write_spec(spec.to_dict())
-        summary = run_worker(
-            d, shard="w0", ttl_s=30, poll_s=0.05, claim_batch=3
-        )
-        assert summary.n_executed == 4 and summary.n_failed == 0
-        assert len(known_keys(d)) == 4
-        merge_shards(d)
-        solo = run_campaign(spec, store=ResultStore())
-        merged = ResultStore(d)
-        for record in solo.records:
-            assert deterministic_view(
-                merged.get(record.key).summary
-            ) == deterministic_view(record.summary)
-
-    def test_claim_batch_larger_than_grid(self, tmp_path):
-        d = tmp_path / "c"
-        spec = small_spec()
-        ResultStore(d).write_spec(spec.to_dict())
-        summary = run_worker(
-            d, shard="w0", ttl_s=30, poll_s=0.05, claim_batch=64
-        )
-        assert summary.n_executed == 4 and summary.n_failed == 0
-
-    def test_claim_batch_respects_max_cells(self, tmp_path):
-        d = tmp_path / "c"
-        ResultStore(d).write_spec(small_spec().to_dict())
-        summary = run_worker(
-            d, shard="w0", poll_s=0.05, claim_batch=8, max_cells=2
-        )
-        assert summary.n_executed == 2
-        assert len(known_keys(d)) == 2

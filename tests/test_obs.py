@@ -9,10 +9,7 @@ export — plus the wiring contracts that make them trustworthy:
   simulation (regenerate with ``REPRO_UPDATE_GOLDEN=1``);
 * the ``campaign run --trace`` CLI end-to-end: a 2-cell grid must
   produce a loadable trace whose ``sim.pass`` spans nest under their
-  ``campaign.cell`` spans;
-* the fleet worker's lease hygiene: a cell that raises mid-heartbeat
-  still releases its lease, and a lease evicted out from under a
-  worker increments ``distrib.lease.evictions``.
+  ``campaign.cell`` spans.
 """
 
 import json
@@ -22,10 +19,6 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.campaign.distrib.lease import LeaseBoard
-from repro.campaign.distrib.worker import run_worker
-from repro.campaign.spec import CampaignSpec
-from repro.campaign.store import ResultStore
 from repro.core.mechanisms import Mechanism
 from repro.jobs.checkpoint import CheckpointModel
 from repro.jobs.job import Job, JobType, NoticeClass
@@ -44,7 +37,6 @@ from repro.obs.export import (
     events_from_schedlog,
     events_from_spans,
     load_trace,
-    merge_trace_data,
     render_summary,
     trace_data,
     write_trace_data,
@@ -307,21 +299,6 @@ class TestExport:
         bare.write_text(json.dumps(doc["traceEvents"]))
         assert load_trace(bare)["traceEvents"] == doc["traceEvents"]
 
-    def test_merge_adds_counters_and_concatenates_events(self):
-        docs = []
-        for n in (2, 3):
-            reg = MetricsRegistry()
-            reg.counter("c").inc(n)
-            obs = Observability(reg, Tracer())
-            with obs.span("s"):
-                pass
-            docs.append(trace_data(obs, process_name=f"p{n}"))
-        merged = merge_trace_data(docs)
-        assert merged["otherData"]["metrics"]["counters"]["c"] == 5
-        assert sum(
-            1 for e in merged["traceEvents"] if e.get("ph") == "X"
-        ) == 2
-
     def test_schedlog_events_use_sim_time_track(self):
         from repro.sim.schedlog import LogKind, SchedulerLog
 
@@ -407,22 +384,8 @@ class TestSimWiring:
 
 
 # ----------------------------------------------------------------------
-# Campaign + fleet wiring
+# Campaign wiring
 # ----------------------------------------------------------------------
-SMALL = {
-    "name": "small",
-    "days": 2,
-    "target_load": 0.6,
-    "system_size": 512,
-    "mechanism": [None, "N&PAA"],
-    "seeds": [1],
-}
-
-
-def small_spec() -> CampaignSpec:
-    return CampaignSpec.from_dict(SMALL)
-
-
 class TestCampaignCLI:
     def test_campaign_run_trace_end_to_end(self, tmp_path, capsys):
         """`campaign run --trace` on a 2-cell grid: the trace loads as a
@@ -487,51 +450,3 @@ class TestCampaignCLI:
         doc = load_trace(out)
         inst = [e for e in doc["traceEvents"] if e.get("ph") == "i"]
         assert [e["ts"] for e in inst] == [10.0, 20.0]
-
-
-class TestWorkerLeaseHygiene:
-    def test_lease_released_when_cell_raises(self, tmp_path, monkeypatch):
-        """A worker whose cell execution raises still drops its lease in
-        the finally, so peers are not stalled for a whole TTL."""
-        ResultStore(tmp_path).write_spec(small_spec().to_dict())
-
-        def boom(config, log_dir=None):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(
-            "repro.campaign.executor.execute_cell", boom
-        )
-        with pytest.raises(OSError):
-            run_worker(str(tmp_path), shard="s0", ttl_s=60, wait=False)
-        board = LeaseBoard(tmp_path, owner="probe", ttl_s=60)
-        for cell in small_spec().expand():
-            assert board.acquire(cell.key()), (
-                "lease still held after the worker raised"
-            )
-            board.release(cell.key())
-            break  # the worker raises on its first claimed cell
-
-    def test_eviction_counter_when_release_fails(self, tmp_path, monkeypatch):
-        """A lease evicted mid-cell (TTL stall) is counted when the
-        worker's final release comes back empty-handed."""
-        ResultStore(tmp_path).write_spec(small_spec().to_dict())
-        from repro.campaign.executor import execute_cell as real
-
-        def steal_then_run(config, log_dir=None):
-            # simulate a peer evicting our expired lease mid-cell
-            for lease in (tmp_path / "leases").glob("*"):
-                lease.unlink()
-            return real(config, log_dir=log_dir)
-
-        monkeypatch.setattr(
-            "repro.campaign.executor.execute_cell", steal_then_run
-        )
-        with enabled_obs() as obs:
-            summary = run_worker(
-                str(tmp_path), shard="s0", ttl_s=60, wait=False
-            )
-            evictions = (
-                obs.registry.counter("distrib.lease.evictions").value
-            )
-        assert summary.n_executed == len(list(small_spec().expand()))
-        assert evictions == summary.n_executed

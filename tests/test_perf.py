@@ -433,12 +433,15 @@ class TestPerfCli:
         assert record.scenario_hash == scenario_hash(
             "sim_core", {"n_jobs": 120}
         )
-        # compare a fresh identical run against it: clean pass
+        # compare a fresh identical run against it: clean pass.  The
+        # gate judges the deterministic event count, not wall time, so
+        # a busy host cannot fail it; the wall-time verdict path is
+        # covered on seeded records by the compare tests above
         code, out = self.run_cli(argv, capsys)
         assert code == 0
         code, out = self.run_cli(
             ["perf", "compare", "--history", str(history),
-             "--baseline", str(history)],
+             "--baseline", str(history), "--metrics", "events_processed"],
             capsys,
         )
         assert code == 0 and "PASS" in out

@@ -10,9 +10,10 @@ Covers the tentpole properties:
   automatic full rescan of that file only;
 * ``compact`` explicitly invalidates every cached index;
 * golden snapshots of ``campaign status`` and a ``status --watch``
-  frame (shards, live/expired leases, throughput, ETA);
-* a kill-and-resume fleet run with the index produces results
-  canonically byte-identical to a solo run without it.
+  frame (throughput, ETA, failure details);
+* a ``campaign run`` SIGKILLed mid-grid and re-run on the same
+  directory produces results canonically byte-identical to an
+  uninterrupted run.
 """
 
 import json
@@ -20,6 +21,8 @@ import logging
 import os
 import re
 import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -28,17 +31,10 @@ import pytest
 from repro.campaign import (
     CampaignSpec,
     CellRecord,
-    IndexKeyView,
-    LeaseBoard,
-    LocalSubprocessBackend,
     ProgressIndex,
     ResultStore,
-    merge_shards,
-    plan_campaign,
     run_campaign,
-    run_worker,
 )
-from repro.campaign.distrib.worker import known_keys
 from repro.campaign.progress import (
     ThroughputTracker,
     format_duration,
@@ -48,7 +44,6 @@ from repro.campaign.progress import (
     watch_status,
 )
 from repro.campaign.store import iter_jsonl_records, read_jsonl_since
-from repro.util.errors import ConfigurationError
 
 SMALL = {
     "name": "small",
@@ -133,9 +128,8 @@ class TestReadJsonlSince:
         assert any("unparsable" in m for m in caplog.messages)
 
     def test_iter_jsonl_records_warns_on_torn_tail(self, tmp_path, caplog):
-        """Regression for the crash-tolerance satellite: a truncated
-        fixture loses only the torn record, with a warning."""
-        path = tmp_path / "shard.jsonl"
+        """A truncated file loses only the torn record, with a warning."""
+        path = tmp_path / "results.jsonl"
         append_records(path, [record("k1"), record("k2")])
         with path.open("a", encoding="utf-8") as fh:
             fh.write('{"key": "k3", "config": {}, "sta')  # SIGKILL here
@@ -152,11 +146,11 @@ class TestReadJsonlSince:
 class TestProgressIndex:
     def test_cold_then_warm_refresh(self, tmp_path):
         d = tmp_path / "c"
-        append_records(d / "results.jsonl", [record("k1")])
-        append_records(d / "shards" / "w0.jsonl", [record("k2", "error")])
+        results = d / "results.jsonl"
+        append_records(results, [record("k1"), record("k2", "error")])
         index = ProgressIndex(d)
         cold = index.refresh()
-        assert cold.n_new_records == 2 and cold.n_rescans == 2
+        assert cold.n_new_records == 2 and cold.n_rescans == 1
         assert index.keys() == {"k1", "k2"}
         assert index.statuses() == {"k1": "ok", "k2": "error"}
         # warm, unchanged: zero bytes read, zero files rescanned
@@ -165,7 +159,7 @@ class TestProgressIndex:
         assert warm.n_rescans == 0
         # append one record: only its bytes are read
         line_len = len(record("k3").to_json()) + 1
-        append_records(d / "shards" / "w0.jsonl", [record("k3")])
+        append_records(results, [record("k3")])
         delta = index.refresh()
         assert delta.n_bytes_read == line_len
         assert delta.n_new_records == 1 and delta.n_rescans == 0
@@ -210,21 +204,21 @@ class TestProgressIndex:
 
     def test_vanished_file_dropped(self, tmp_path):
         d = tmp_path / "c"
-        shard = d / "shards" / "w0.jsonl"
-        append_records(shard, [record("k1")])
+        results = d / "results.jsonl"
+        append_records(results, [record("k1")])
         index = ProgressIndex(d)
         index.refresh()
-        shard.unlink()
+        results.unlink()
         stats = index.refresh()
         assert stats.n_dropped == 1
         assert index.keys() == set()
 
     def test_torn_tail_warned_once_then_healed(self, tmp_path, caplog):
         d = tmp_path / "c"
-        shard = d / "shards" / "w0.jsonl"
-        append_records(shard, [record("k1")])
+        results = d / "results.jsonl"
+        append_records(results, [record("k1")])
         line = record("k2").to_json()
-        with shard.open("a", encoding="utf-8") as fh:
+        with results.open("a", encoding="utf-8") as fh:
             fh.write(line[:8])
         index = ProgressIndex(d)
         with caplog.at_level(logging.WARNING, "repro.campaign.progress"):
@@ -236,7 +230,7 @@ class TestProgressIndex:
             m for m in caplog.messages if "torn trailing line" in m
         ]
         assert len(torn_warnings) == 1  # throttled across refreshes
-        with shard.open("a", encoding="utf-8") as fh:
+        with results.open("a", encoding="utf-8") as fh:
             fh.write(line[8:] + "\n")
         healed = index.refresh()
         assert healed.n_new_records == 1 and healed.n_torn == 0
@@ -258,13 +252,41 @@ class TestProgressIndex:
         rebuilt.refresh()
         assert rebuilt.statuses() == {"k1": "ok"}
 
-    def test_statuses_ok_beats_error_across_files(self, tmp_path):
+    def test_statuses_last_write_wins(self, tmp_path):
+        """A key's status is that of its last record — a retried cell
+        heals to ok, and a later error supersedes an ok, exactly as
+        :class:`ResultStore` replays the file."""
         d = tmp_path / "c"
-        append_records(d / "shards" / "a.jsonl", [record("k1", "error")])
-        append_records(d / "shards" / "b.jsonl", [record("k1")])
+        append_records(
+            d / "results.jsonl",
+            [record("k1", "error"), record("k1"),
+             record("k2"), record("k2", "error")],
+        )
         index = ProgressIndex(d)
         index.refresh()
-        assert index.statuses() == {"k1": "ok"}
+        store = ResultStore(d)
+        assert index.statuses() == {"k1": "ok", "k2": "error"}
+        assert index.statuses() == {
+            r.key: r.status for r in store.records()
+        }
+
+    def test_index_save_failure_is_tolerated(self, tmp_path, monkeypatch,
+                                             caplog):
+        """A read-only campaign mount: status/scan paths keep working with
+        in-memory state instead of crashing on the cache write."""
+        d = tmp_path / "c"
+        append_records(d / "results.jsonl", [record("k1")])
+
+        def deny(_src, _dst):
+            raise PermissionError("read-only file system")
+
+        monkeypatch.setattr("repro.campaign.progress.os.replace", deny)
+        with caplog.at_level(logging.INFO, "repro.campaign.progress"):
+            index = ProgressIndex(d)
+            index.refresh()
+        assert index.keys() == {"k1"}
+        assert not (d / "index" / "progress.json").exists()
+        assert any("not persisted" in m for m in caplog.messages)
 
     def test_no_directory_no_side_effects(self, tmp_path):
         d = tmp_path / "nothing"
@@ -282,15 +304,6 @@ class TestProgressIndex:
         stats = index.refresh()
         assert stats.n_rescans == 1
         assert index.keys() == {"k1"}
-
-    def test_known_keys_parity_with_index(self, tmp_path):
-        d = tmp_path / "c"
-        append_records(d / "results.jsonl", [record("m1")])
-        append_records(d / "shards" / "w0.jsonl", [record("s1", "error")])
-        assert known_keys(d) == {"m1", "s1"}
-        # and via a held index
-        index = ProgressIndex(d)
-        assert known_keys(d, index) == {"m1", "s1"}
 
 
 class TestResultStoreRefresh:
@@ -323,37 +336,6 @@ class TestResultStoreRefresh:
         assert store.refresh() == 0  # offset tracked through puts
 
 
-class TestIndexKeyView:
-    def test_plan_matches_store_backed_plan(self, tmp_path):
-        d = tmp_path / "c"
-        spec = CampaignSpec.from_dict(SMALL)
-        cells = spec.expand()
-        append_records(
-            d / "results.jsonl",
-            [
-                record(cells[0].key()),
-                record(cells[1].key(), "error"),
-            ],
-        )
-        index = ProgressIndex(d)
-        index.refresh()
-        view_plan = plan_campaign(spec, IndexKeyView(index))
-        store_plan = plan_campaign(spec, ResultStore(d))
-        assert {c.key() for c in view_plan.todo} == {
-            c.key() for c in store_plan.todo
-        }
-        assert view_plan.n_cached == store_plan.n_cached == 1
-
-    def test_retry_requires_real_store(self, tmp_path):
-        index = ProgressIndex(tmp_path)
-        with pytest.raises(ConfigurationError, match="retry"):
-            plan_campaign(
-                CampaignSpec.from_dict(SMALL),
-                IndexKeyView(index),
-                retry_failed=True,
-            )
-
-
 KEY_RE = re.compile(r"\b[0-9a-f]{16}\b")
 
 
@@ -372,34 +354,23 @@ def normalized(text: str) -> str:
 
 
 def build_fixture_dir(tmp_path) -> Path:
-    """A deterministic campaign dir: 4-cell spec, 2 ok + 1 error spread
-    over two shards (one cell merged into results), 2 leases."""
+    """A deterministic campaign dir: 4-cell spec, 2 ok + 1 error."""
     d = tmp_path / "c"
     spec = CampaignSpec.from_dict(SMALL)
     ResultStore(d, load=False).write_spec(spec.to_dict())
     cells = spec.expand()
-    k0, k1, k2 = cells[0].key(), cells[1].key(), cells[2].key()
     append_records(
         d / "results.jsonl",
-        [CellRecord(key=k0, config=cells[0].config(), status="ok",
-                    payload={"x": 1}, elapsed_s=2.0)],
+        [
+            CellRecord(key=cells[0].key(), config=cells[0].config(),
+                       status="ok", payload={"x": 1}, elapsed_s=2.0),
+            CellRecord(key=cells[1].key(), config=cells[1].config(),
+                       status="ok", payload={"x": 1}, elapsed_s=3.0),
+            CellRecord(key=cells[2].key(), config=cells[2].config(),
+                       status="error", error="RuntimeError: boom",
+                       elapsed_s=0.5),
+        ],
     )
-    append_records(
-        d / "shards" / "w0.jsonl",
-        [CellRecord(key=k1, config=cells[1].config(), status="ok",
-                    payload={"x": 1}, elapsed_s=3.0)],
-    )
-    append_records(
-        d / "shards" / "w1.jsonl",
-        [CellRecord(key=k2, config=cells[2].config(), status="error",
-                    error="RuntimeError: boom", elapsed_s=0.5)],
-    )
-    clock = FakeClock(1000.0)
-    live = LeaseBoard(d, owner="host-1-w0", ttl_s=60, clock=clock)
-    assert live.acquire(cells[3].key())
-    stale = LeaseBoard(d, owner="host-2-w1", ttl_s=60,
-                       clock=FakeClock(400.0))
-    assert stale.acquire("deadbeefdeadbeef")
     return d
 
 
@@ -411,15 +382,7 @@ class TestStatusGolden:
             [
                 "campaign 'small': 2/4 cells done, 1 failed, 1 pending",
                 "stored records: 3 (5.5s compute)",
-                "shards:",
-                "  shard w0: 1 records, 0 errors",
-                "  shard w1: 1 records, 1 error",
-                "leases: 1 live, 1 expired",
-                "  lease <KEY0>: EXPIRED, owner host-2-w1, "
-                "heartbeat 610s ago (ttl 60s)",
-                "  lease <KEY1>: live, owner host-1-w0, "
-                "heartbeat 10s ago (ttl 60s)",
-                "  FAILED <KEY2>: RuntimeError: boom",
+                "  FAILED <KEY0>: RuntimeError: boom",
             ]
         )
 
@@ -440,20 +403,12 @@ class TestStatusGolden:
                 "campaign 'small': 2/4 cells done, 1 failed, 1 pending",
                 "stored records: 3 (5.5s compute)",
                 "throughput: n/a — ETA n/a",
-                "shards:",
-                "  shard w0: 1 records, 0 errors",
-                "  shard w1: 1 records, 1 error",
-                "leases: 1 live, 1 expired",
-                "  lease <KEY0>: EXPIRED, owner host-2-w1, "
-                "heartbeat 610s ago (ttl 60s)",
-                "  lease <KEY1>: live, owner host-1-w0, "
-                "heartbeat 10s ago (ttl 60s)",
             ]
         )
 
     def test_watch_throughput_and_eta(self, tmp_path):
-        """Second frame: rates from shard append deltas, ETA from the
-        aggregate completion rate."""
+        """Second frame: completion rate from the appended cell, ETA
+        from that rate."""
         d = build_fixture_dir(tmp_path)
         spec = CampaignSpec.from_dict(SMALL)
         clock = FakeClock(1000.0)
@@ -463,7 +418,7 @@ class TestStatusGolden:
             clock.advance(60.0)
             cells = spec.expand()
             append_records(
-                d / "shards" / "w1.jsonl",
+                d / "results.jsonl",
                 [CellRecord(key=cells[3].key(), config=cells[3].config(),
                             status="ok", payload={"x": 1}, elapsed_s=4.0)],
             )
@@ -483,8 +438,7 @@ class TestStatusGolden:
         assert "campaign 'small': 3/4 cells done, 1 failed, 0 pending" in second
         # 1 cell completed in 60s -> 1.0 cells/min, 0 pending -> ETA 0s
         assert "throughput: 1.0 cells/min — ETA 0s" in second
-        assert "  shard w1: 2 records, 1 error, 1.0 cells/min" in second
-        assert "  shard w0: 1 records, 0 errors, 0.0 cells/min" in second
+        assert "stored records: 4 (9.5s compute)" in second
 
     def test_status_without_spec(self, tmp_path):
         d = tmp_path / "c"
@@ -508,14 +462,13 @@ class TestStatusGolden:
 
 
 class TestThroughputTracker:
-    def _snap(self, t, done, failed=0, shards=()):
-        from repro.campaign.progress import ShardStat, StatusSnapshot
+    def _snap(self, t, done, failed=0, n_records=None):
+        from repro.campaign.progress import StatusSnapshot
 
         return StatusSnapshot(
             time=t, name="x", n_cells=100, n_done=done, n_failed=failed,
-            n_records=done + failed, elapsed_s=0.0,
-            shards=tuple(ShardStat(*s) for s in shards),
-            leases_live=0, leases_expired=0,
+            n_records=done + failed if n_records is None else n_records,
+            elapsed_s=0.0,
         )
 
     def test_single_sample_has_no_rate(self):
@@ -544,11 +497,10 @@ class TestThroughputTracker:
 
     def test_duplicate_executions_do_not_inflate_rate(self):
         tracker = ThroughputTracker()
-        tracker.add(self._snap(0.0, 10, shards=[("w0", 10, 0)]))
-        # shard grew by 5 records but only 2 new unique cells completed
-        tracker.add(self._snap(60.0, 12, shards=[("w0", 15, 0)]))
+        tracker.add(self._snap(0.0, 10, n_records=10))
+        # the file grew by 5 records but only 2 new unique cells completed
+        tracker.add(self._snap(60.0, 12, n_records=15))
         assert tracker.cells_per_min() == pytest.approx(2.0)
-        assert tracker.shard_cells_per_min("w0") == pytest.approx(5.0)
 
     def test_format_duration(self):
         assert format_duration(None) == "n/a"
@@ -558,35 +510,59 @@ class TestThroughputTracker:
 
 
 class TestKillResumeByteIdentical:
-    def test_fleet_kill_resume_matches_solo_canonically(self, tmp_path):
-        """Acceptance: a fleet run that loses a worker mid-cell, is
-        rescued, and merges through the index yields a results store
-        canonically byte-identical to a solo run without any index."""
-        spec = CampaignSpec.from_dict(SMALL)
-        d = tmp_path / "fleet"
-        ResultStore(d, load=False).write_spec(spec.to_dict())
-        backend = LocalSubprocessBackend(workers=1)
-        (handle,) = backend.launch(str(d), ttl_s=1.0, poll_s=0.1)
+    def test_sigkilled_campaign_run_resumes_to_solo_bytes(
+        self, tmp_path, capsys
+    ):
+        """A pooled ``campaign run`` SIGKILLed once its first record
+        lands, then re-run on the same directory, ends canonically
+        byte-identical to an uninterrupted run: survivors are cached,
+        the rest re-run."""
+        from repro.experiments.cli import main as cli_main
+
+        spec_file = tmp_path / "small.json"
+        spec_file.write_text(json.dumps(SMALL), encoding="utf-8")
+        d = tmp_path / "killed"
+        argv = [
+            "campaign", "run", "--dir", str(d), "--spec", str(spec_file),
+            "--workers", "2",
+        ]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        # own session, so the kill takes the pool children down with it
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.experiments.cli", *argv],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            start_new_session=True,
+        )
+        results = d / "results.jsonl"
         try:
             deadline = time.time() + 60
-            leases = d / "leases"
-            while time.time() < deadline:
-                if leases.exists() and list(leases.glob("*.json")):
+            while proc.poll() is None and time.time() < deadline:
+                if results.exists() and results.read_bytes().count(b"\n"):
                     break
-                if handle.proc.poll() is not None:
-                    break
-                time.sleep(0.02)
-            if handle.proc.poll() is None:
-                os.kill(handle.proc.pid, signal.SIGKILL)
+                time.sleep(0.002)
         finally:
-            handle.proc.wait()
-        run_worker(d, shard="rescue", ttl_s=1.0, poll_s=0.1)
-        merge_shards(d)
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        survivors = ResultStore(d).completed_keys()
+        assert survivors, "the killed run stored no record"
+
+        assert cli_main(argv) == 0
+        n_cells = len(CampaignSpec.from_dict(SMALL).expand())
+        assert (
+            f"{len(survivors)} cached, {n_cells - len(survivors)} ran"
+            in capsys.readouterr().out
+        )
         solo = tmp_path / "solo"
-        run_campaign(spec, directory=solo)
-        fleet_bytes = ResultStore(d).canonical_bytes()
+        run_campaign(CampaignSpec.from_dict(SMALL), directory=solo)
+        resumed_bytes = ResultStore(d).canonical_bytes()
         solo_bytes = ResultStore(solo).canonical_bytes()
-        assert fleet_bytes and fleet_bytes == solo_bytes
+        assert resumed_bytes and resumed_bytes == solo_bytes
 
     def test_canonical_bytes_ignore_wall_clock(self, tmp_path):
         a = ResultStore(tmp_path / "a")
@@ -615,6 +591,6 @@ class TestSpecCellKeys:
         append_records(d / "results.jsonl", [record("k1"),
                                              record("k2", "error")])
         index = ProgressIndex(d)
-        snap = take_snapshot(d, index, clock=FakeClock())
+        snap = take_snapshot(index, clock=FakeClock())
         assert snap.n_cells is None and snap.n_pending is None
         assert snap.n_done == 1 and snap.n_failed == 1
